@@ -178,6 +178,7 @@ func TestBatchMatchesSingleEmission(t *testing.T) {
 			s1 := tok.AcquireStreamer()
 			emit := func(tk token.Token, _ []byte) { want = append(want, tk) }
 			feedAll(s1, input, chunk, func(s *core.Streamer, part []byte) { s.Feed(part, emit) })
+			wantCounters := s1.StreamCounters()
 			wantRest := s1.Close(emit)
 			tok.ReleaseStreamer(s1)
 
@@ -185,6 +186,12 @@ func TestBatchMatchesSingleEmission(t *testing.T) {
 			s2 := tok.AcquireStreamer()
 			sink := func(batch []token.Token) { got = append(got, batch...) }
 			feedAll(s2, input, chunk, func(s *core.Streamer, part []byte) { s.FeedBatch(part, sink) })
+			// Counters before Close, as a checkpoint would carry them:
+			// batching skips text assembly but must report the same
+			// carry peak.
+			if got := s2.StreamCounters(); !reflect.DeepEqual(got, wantCounters) {
+				t.Fatalf("%s: batch counters %+v, single %+v", c.name, got, wantCounters)
+			}
 			gotRest := s2.CloseBatch(sink)
 			tok.ReleaseStreamer(s2)
 

@@ -1033,6 +1033,12 @@ func (s *Streamer) emitToken(emit EmitFunc, rule int, chunk []byte, base int) {
 		// Batched emission: append into the reused buffer, no text
 		// assembly; flush when the buffer fills so one token-dense Feed
 		// still runs in bounded memory.
+		if s.startP < base && !s.noObs {
+			// Record the carry peak the text path would have
+			// assembled, so both paths report (and checkpoint) the
+			// same counters.
+			s.c.NoteCarry(len(s.carry) + max(0, s.pos-base))
+		}
 		s.batch = append(s.batch, token.Token{Start: s.startP, End: s.pos, Rule: rule})
 		if len(s.batch) >= batchCap {
 			s.flushBatch()

@@ -43,10 +43,11 @@ type Entry struct {
 	Vocab   *streamtok.Vocab   // nil for grammar entries
 	Tok     *streamtok.Tokenizer
 
-	// quotedNames caches each rule name pre-quoted as a JSON string, so
-	// the NDJSON hot path never re-escapes them. Nil for vocabulary
-	// entries: Token.Rule is the rank, which has no name.
-	quotedNames [][]byte
+	// ruleTails caches each rule's NDJSON line tail (see ruleTails), so
+	// the hot path never re-formats the rule id or re-escapes the name.
+	// Nil for vocabulary entries: Token.Rule is the rank, which has no
+	// name.
+	ruleTails [][]byte
 }
 
 // RejectError is a grammar the registry refuses to serve. Diagnostic is
@@ -568,11 +569,7 @@ func (r *Registry) Stats() RegistryStats {
 }
 
 func newEntry(name, hash string, g *streamtok.Grammar, tok *streamtok.Tokenizer) *Entry {
-	quoted := make([][]byte, g.NumRules())
-	for i := range quoted {
-		quoted[i] = appendJSONString(nil, g.RuleName(i))
-	}
-	return &Entry{Name: name, Hash: hash, Grammar: g, Tok: tok, quotedNames: quoted}
+	return &Entry{Name: name, Hash: hash, Grammar: g, Tok: tok, ruleTails: ruleTails(g.NumRules(), g.RuleName)}
 }
 
 // unboundedDiagnostic renders the lint-style rejection for a grammar

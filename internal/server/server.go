@@ -1,16 +1,15 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/base64"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"sync"
@@ -53,7 +52,8 @@ type Server struct {
 	cfg   Config
 	reg   *Registry
 	sched *parallel.Scheduler
-	bufs  sync.Pool
+	bufs  sync.Pool // request body chunks
+	wires sync.Pool // response buffers (*wire)
 	mux   *http.ServeMux
 	start time.Time
 
@@ -106,6 +106,7 @@ func New(cfg Config) *Server {
 		b := make([]byte, 64<<10)
 		return &b
 	}
+	s.wires.New = func() any { return &wire{buf: make([]byte, 0, wireCap)} }
 	s.mux.HandleFunc("/tokenize", s.handleTokenize)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/statusz", s.handleStatusz)
@@ -186,7 +187,7 @@ func (e errTooLarge) Error() string {
 //
 // Optional: ?deadline= and ?max_bytes= lower the server limits for this
 // request; ?text=1 adds token text to NDJSON lines; ?count=1 suppresses
-// per-token lines (summary only); ?format=bin (or Accept:
+// per-token lines (summary only, even with ?text=1); ?format=bin (or Accept:
 // application/x-streamtok-bin) selects 24-byte binary records with
 // summary trailers instead of NDJSON.
 //
@@ -222,7 +223,8 @@ func (s *Server) handleTokenize(w http.ResponseWriter, r *http.Request) {
 	defer h.Finish()
 	s.reqs.Add(1)
 
-	ent, err := s.resolveGrammar(r)
+	q := r.URL.Query()
+	ent, err := s.resolveGrammar(q)
 	if err != nil {
 		s.rejected.Add(1)
 		var rej *RejectError
@@ -242,13 +244,12 @@ func (s *Server) handleTokenize(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	maxBytes, deadline, perr := s.requestLimits(r)
+	maxBytes, deadline, perr := s.requestLimits(q)
 	if perr != nil {
 		s.rejected.Add(1)
 		http.Error(w, perr.Error(), http.StatusBadRequest)
 		return
 	}
-	q := r.URL.Query()
 	binaryOut := q.Get("format") == "bin" || r.Header.Get("Accept") == "application/x-streamtok-bin"
 	withText := q.Get("text") == "1"
 	countOnly := q.Get("count") == "1"
@@ -299,8 +300,7 @@ func (s *Server) handleTokenize(w http.ResponseWriter, r *http.Request) {
 
 // resolveGrammar picks the tokenization source from ?grammar=, ?rule=,
 // or ?vocab= — exactly one of the three.
-func (s *Server) resolveGrammar(r *http.Request) (*Entry, error) {
-	q := r.URL.Query()
+func (s *Server) resolveGrammar(q url.Values) (*Entry, error) {
 	name := q.Get("grammar")
 	vocab := q.Get("vocab")
 	rules := q["rule"]
@@ -330,9 +330,8 @@ func (s *Server) resolveGrammar(r *http.Request) (*Entry, error) {
 
 // requestLimits applies the per-request ?max_bytes= and ?deadline=
 // overrides, which may lower the server limits but never raise them.
-func (s *Server) requestLimits(r *http.Request) (maxBytes int64, deadline time.Duration, err error) {
+func (s *Server) requestLimits(q url.Values) (maxBytes int64, deadline time.Duration, err error) {
 	maxBytes, deadline = s.cfg.MaxBodyBytes, s.cfg.Deadline
-	q := r.URL.Query()
 	if v := q.Get("max_bytes"); v != "" {
 		n, perr := strconv.ParseInt(v, 10, 64)
 		if perr != nil || n <= 0 {
@@ -364,46 +363,26 @@ func (s *Server) requestLimits(r *http.Request) (maxBytes int64, deadline time.D
 func (s *Server) streamNDJSON(ctx context.Context, w http.ResponseWriter, r *http.Request, ent *Entry, st *streamtok.Streamer, h *parallel.StreamHandle, maxBytes int64, hold, withText, countOnly bool) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Streamtok-Grammar", ent.Name)
-	bw := bufio.NewWriterSize(w, 32<<10)
-	flusher, _ := w.(http.Flusher)
+	o := s.getWire(w)
+	defer s.putWire(o)
 
-	var tokens, tokenBytes uint64
-	line := make([]byte, 0, 256)
-	emit := func(tk streamtok.Token, text []byte) {
-		tokens++
-		tokenBytes += uint64(tk.Len())
-		if countOnly {
-			return
-		}
-		line = line[:0]
-		line = append(line, `{"start":`...)
-		line = strconv.AppendInt(line, int64(tk.Start), 10)
-		line = append(line, `,"end":`...)
-		line = strconv.AppendInt(line, int64(tk.End), 10)
-		line = append(line, `,"rule":`...)
-		line = strconv.AppendInt(line, int64(tk.Rule), 10)
-		if tk.Rule >= 0 && tk.Rule < len(ent.quotedNames) {
-			line = append(line, `,"name":`...)
-			line = append(line, ent.quotedNames[tk.Rule]...)
-		}
-		if withText {
-			line = append(line, `,"text":`...)
-			line = appendJSONString(line, string(text))
-		}
-		line = append(line, '}', '\n')
-		bw.Write(line)
+	enc := newNDJSONEncoder(ent.ruleTails)
+	var sink streamtok.BatchFunc
+	var emit streamtok.EmitFunc
+	switch {
+	case countOnly: // wins over ?text=1: summary only
+		sink = func([]token.Token) {}
+	case withText:
+		emit = func(tk streamtok.Token, text []byte) { enc.textLine(o, tk, text) }
+	default:
+		sink = func(batch []token.Token) { enc.batch(o, batch) }
 	}
 
-	res := s.drive(ctx, r, st, h, maxBytes, hold, emit, func() {
-		bw.Flush()
-		if flusher != nil {
-			flusher.Flush()
-		}
-	})
+	res := s.drive(ctx, r, st, h, maxBytes, hold, sink, emit, o.flush)
 
 	// Summary line. Written even after an error: the stream stays valid
 	// NDJSON and the client learns exactly how far the server got.
-	line = line[:0]
+	line := o.buf
 	if res.err != nil {
 		line = append(line, `{"error":`...)
 		line = appendJSONString(line, res.err.Error())
@@ -411,9 +390,9 @@ func (s *Server) streamNDJSON(ctx context.Context, w http.ResponseWriter, r *htt
 		line = append(line, `{"done":true`...)
 	}
 	line = append(line, `,"tokens":`...)
-	line = strconv.AppendUint(line, tokens, 10)
+	line = strconv.AppendUint(line, res.tokens, 10)
 	line = append(line, `,"token_bytes":`...)
-	line = strconv.AppendUint(line, tokenBytes, 10)
+	line = strconv.AppendUint(line, res.tokenBytes, 10)
 	line = append(line, `,"bytes_in":`...)
 	line = strconv.AppendInt(line, res.consumed, 10)
 	line = append(line, `,"rest":`...)
@@ -429,13 +408,9 @@ func (s *Server) streamNDJSON(ctx context.Context, w http.ResponseWriter, r *htt
 	}
 	line = append(line, `,"complete":`...)
 	line = strconv.AppendBool(line, res.err == nil && int64(res.rest) == res.base+res.consumed)
-	line = append(line, '}', '\n')
-	bw.Write(line)
-	bw.Flush()
-	if flusher != nil {
-		flusher.Flush()
-	}
-	s.finishStream(tokens, uint64(res.consumed), res.err)
+	o.buf = append(line, '}', '\n')
+	o.flush()
+	s.finishStream(res.tokens, uint64(res.consumed), res.err)
 }
 
 // streamBinary tokenizes the body into fixed 24-byte little-endian
@@ -447,34 +422,12 @@ func (s *Server) streamBinary(ctx context.Context, w http.ResponseWriter, r *htt
 	w.Header().Set("Content-Type", "application/x-streamtok-bin")
 	w.Header().Set("X-Streamtok-Grammar", ent.Name)
 	w.Header().Set("Trailer", "X-Streamtok-Tokens, X-Streamtok-Rest, X-Streamtok-Error, X-Streamtok-Cursor")
-	bw := bufio.NewWriterSize(w, 32<<10)
-	flusher, _ := w.(http.Flusher)
+	o := s.getWire(w)
+	defer s.putWire(o)
 
-	var tokens uint64
-	var rec [24]byte
-	sink := func(batch []token.Token) {
-		for _, tk := range batch {
-			binary.LittleEndian.PutUint64(rec[0:], uint64(tk.Start))
-			binary.LittleEndian.PutUint64(rec[8:], uint64(tk.End))
-			binary.LittleEndian.PutUint32(rec[16:], uint32(tk.Rule))
-			binary.LittleEndian.PutUint32(rec[20:], 0)
-			bw.Write(rec[:])
-		}
-		tokens += uint64(len(batch))
-	}
-	// The binary path uses per-token emit through the same drive loop;
-	// batching happens in bufio. (A BatchFunc would skip text assembly,
-	// but drive shares the EmitFunc plumbing with NDJSON.)
-	emit := func(tk streamtok.Token, _ []byte) { sink([]token.Token{tk}) }
-
-	res := s.drive(ctx, r, st, h, maxBytes, hold, emit, func() {
-		bw.Flush()
-		if flusher != nil {
-			flusher.Flush()
-		}
-	})
-	bw.Flush()
-	w.Header().Set("X-Streamtok-Tokens", strconv.FormatUint(tokens, 10))
+	res := s.drive(ctx, r, st, h, maxBytes, hold, o.records, nil, o.flush)
+	o.writeOut()
+	w.Header().Set("X-Streamtok-Tokens", strconv.FormatUint(res.tokens, 10))
 	w.Header().Set("X-Streamtok-Rest", strconv.Itoa(res.rest))
 	if res.err != nil {
 		w.Header().Set("X-Streamtok-Error", res.err.Error())
@@ -486,22 +439,46 @@ func (s *Server) streamBinary(ctx context.Context, w http.ResponseWriter, r *htt
 	} else {
 		w.Header().Set("X-Streamtok-Cursor", "")
 	}
-	s.finishStream(tokens, uint64(res.consumed), res.err)
+	s.finishStream(res.tokens, uint64(res.consumed), res.err)
+}
+
+// getWire draws a response buffer from the pool, bound to w; putWire
+// returns it once the response is written.
+func (s *Server) getWire(w io.Writer) *wire {
+	o := s.wires.Get().(*wire)
+	o.w, o.err = w, nil
+	return o
+}
+
+func (s *Server) putWire(o *wire) {
+	if cap(o.buf) > wireMaxPooled {
+		return
+	}
+	o.buf, o.w = o.buf[:0], nil
+	s.wires.Put(o)
 }
 
 // streamResult is drive's summary of one driven stream.
 type streamResult struct {
-	consumed int64  // body bytes fed during this request
-	base     int64  // stream offset this request resumed from (0 = fresh)
-	rest     int    // first stream offset not covered by a delivered token
-	cursor   []byte // resume blob when the stream was suspended, else nil
-	err      error  // terminal error (nil for a clean close or suspension)
+	tokens     uint64 // tokens delivered during this request
+	tokenBytes uint64 // their total length
+	consumed   int64  // body bytes fed during this request
+	base       int64  // stream offset this request resumed from (0 = fresh)
+	rest       int    // first stream offset not covered by a delivered token
+	cursor     []byte // resume blob when the stream was suspended, else nil
+	err        error  // terminal error (nil for a clean close or suspension)
 }
 
 // drive pumps the request body through the stream: the handler goroutine
 // keeps the I/O (body reads, response flushes) while every Feed/Close
 // runs on the stream's shard worker via h.Do, so tokenization CPU stays
 // on the shard the scheduler pinned the stream to.
+//
+// Tokens go to sink in batches (FeedBatch/CloseBatch), except when
+// emit is non-nil: ?text=1 lines need token bytes, which may span
+// chunks, so that path alone takes the per-token Feed/Close. drive
+// counts the tokens either way, for the summary. flush runs at every
+// chunk boundary the stream survives.
 //
 // Termination is three-way. Dead input (the remaining bytes match no
 // rule) ends the request with no error and no cursor — rest points at
@@ -511,7 +488,7 @@ type streamResult struct {
 // suspends: the error is reported, but the stream's state up to the last
 // chunk boundary is preserved in a cursor so the client can resume
 // instead of re-uploading.
-func (s *Server) drive(ctx context.Context, r *http.Request, st *streamtok.Streamer, h *parallel.StreamHandle, maxBytes int64, hold bool, emit streamtok.EmitFunc, flush func()) (res streamResult) {
+func (s *Server) drive(ctx context.Context, r *http.Request, st *streamtok.Streamer, h *parallel.StreamHandle, maxBytes int64, hold bool, sink streamtok.BatchFunc, emit streamtok.EmitFunc, flush func()) (res streamResult) {
 	res.base = int64(st.Offset())
 
 	bufp := s.bufs.Get().(*[]byte)
@@ -521,7 +498,26 @@ func (s *Server) drive(ctx context.Context, r *http.Request, st *streamtok.Strea
 	// One closure for the whole request: chunk is rebound per read, so
 	// the steady-state loop allocates nothing.
 	var chunk []byte
-	feed := func() { st.Feed(chunk, emit) }
+	counted := func(batch []token.Token) {
+		var n int
+		for _, tk := range batch {
+			n += tk.Len()
+		}
+		res.tokens += uint64(len(batch))
+		res.tokenBytes += uint64(n)
+		sink(batch)
+	}
+	feed := func() { st.FeedBatch(chunk, counted) }
+	closeStream := func() { res.rest = st.CloseBatch(counted) }
+	if emit != nil {
+		countedEmit := func(tk streamtok.Token, text []byte) {
+			res.tokens++
+			res.tokenBytes += uint64(tk.Len())
+			emit(tk, text)
+		}
+		feed = func() { st.Feed(chunk, countedEmit) }
+		closeStream = func() { res.rest = st.Close(countedEmit) }
+	}
 
 	for {
 		if cerr := ctx.Err(); cerr != nil {
@@ -560,7 +556,6 @@ func (s *Server) drive(ctx context.Context, r *http.Request, st *streamtok.Strea
 	if hold {
 		return s.suspend(st, h, res)
 	}
-	closeStream := func() { res.rest = st.Close(emit) }
 	h.Do(closeStream)
 	return res
 }
