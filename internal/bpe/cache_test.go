@@ -1,7 +1,10 @@
 package bpe
 
 import (
+	"bytes"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"streamtok/internal/token"
 	"streamtok/internal/workload"
@@ -146,8 +149,8 @@ func TestPieceCacheEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 16000 distinct 48-byte words: 768 KB of keys against the 512 KiB
-	// key arena, so at least one wholesale reset fires.
+	// 16000 distinct 48-byte words: 512 KB of key tails (the bytes past
+	// 16) against the 64 KiB tail arena, so wholesale resets fire.
 	input := distinctWords(16000, 48)
 	checkAgainstReference(t, tok, input)
 
@@ -170,5 +173,178 @@ func TestPieceCacheEviction(t *testing.T) {
 	}
 	if fallbacks > pieces {
 		t.Fatalf("fallbacks %d > pieces %d", fallbacks, pieces)
+	}
+}
+
+// TestPieceCacheKeys pins the slot layout's key handling: keys are the
+// first 16 bytes as zero-padded words plus the length (and, past 16
+// bytes, an arena tail), ranks are inline up to three and in an arena
+// beyond. Every lookup must return exactly the ranks inserted — across
+// every length up to the word boundary and past it, keys differing only
+// in their last byte, NUL bytes that zero padding must not conflate,
+// rank lists of every storage kind, and every reset trigger. The stream
+// subtest runs the same shapes through the encoder.
+func TestPieceCacheKeys(t *testing.T) {
+	t.Run("stream", testPieceCacheStream)
+	type entry struct {
+		piece []byte
+		ranks []int32
+	}
+	var entries []entry
+	add := func(piece []byte, nRanks int) {
+		ranks := make([]int32, nRanks)
+		for j := range ranks {
+			ranks[j] = int32(len(entries)*100 + j)
+		}
+		entries = append(entries, entry{piece, ranks})
+	}
+	for _, n := range []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 64} {
+		for ri, nRanks := range []int{1, 2, 3, 4, 9} {
+			// Same prefix, differing only in the last byte.
+			p := bytes.Repeat([]byte{'k'}, n)
+			p[n-1] = byte('a' + ri)
+			add(p, min(nRanks, n))
+		}
+	}
+	for _, p := range []string{
+		"!\x00", "!\x00\x00", "\x00\x00", "\x00\x00\x00", "a\x00b", "a\x00c", "ab\x00",
+		"0123456789abcde\x00", "0123456789abcde\x00\x00", "0123456789abcdef\x00",
+		"0123456789abcdef\x00\x00", "0123456789abcdefgh\x00", "0123456789abcdefgh",
+	} {
+		add([]byte(p), 2)
+	}
+
+	c := newPieceCache()
+	for i, e := range entries {
+		k := makePieceKey(e.piece)
+		if got := c.lookup(&k, e.piece); got != nil {
+			t.Fatalf("entry %d %q: lookup before insert = %v", i, e.piece, got)
+		}
+		c.insert(&k, e.piece, e.ranks)
+	}
+	for i, e := range entries {
+		k := makePieceKey(e.piece)
+		if got := c.lookup(&k, e.piece); !slices.Equal(got, e.ranks) {
+			t.Fatalf("entry %d %q: lookup = %v, want %v", i, e.piece, got, e.ranks)
+		}
+	}
+	if c.evictions != 0 {
+		t.Fatalf("%d evictions before any arena or the entry cap filled", c.evictions)
+	}
+
+	// Forced hash collisions: every entry in one probe chain, so only the
+	// key words, the length and the tail tell them apart.
+	c = newPieceCache()
+	for _, e := range entries {
+		k := makePieceKey(e.piece)
+		k.h = 7
+		c.insert(&k, e.piece, e.ranks)
+	}
+	for i, e := range entries {
+		k := makePieceKey(e.piece)
+		k.h = 7
+		if got := c.lookup(&k, e.piece); !slices.Equal(got, e.ranks) {
+			t.Fatalf("colliding entry %d %q: lookup = %v, want %v", i, e.piece, got, e.ranks)
+		}
+	}
+
+	// fillUntilReset inserts distinct pieces from gen until an insert
+	// resets the cache, then checks the reset: it came at insert want,
+	// when the trigger first overflowed, and only the last piece is left,
+	// with its ranks intact.
+	fillUntilReset := func(name string, want int, gen func(i int) ([]byte, int)) {
+		t.Helper()
+		c := newPieceCache()
+		for i := 0; ; i++ {
+			piece, nRanks := gen(i)
+			ranks := make([]int32, nRanks)
+			for j := range ranks {
+				ranks[j] = int32(i + j)
+			}
+			k := makePieceKey(piece)
+			c.insert(&k, piece, ranks)
+			if c.evictions == 0 {
+				continue
+			}
+			if i != want || c.evictions != uint64(i) || c.entries != 1 {
+				t.Fatalf("%s: reset at insert %d (want %d) evicted %d and kept %d entries",
+					name, i, want, c.evictions, c.entries)
+			}
+			if got := c.lookup(&k, piece); !slices.Equal(got, ranks) {
+				t.Fatalf("%s: after reset, lookup = %v, want %v", name, got, ranks)
+			}
+			first, _ := gen(0)
+			k0 := makePieceKey(first)
+			if got := c.lookup(&k0, first); got != nil {
+				t.Fatalf("%s: evicted piece still found: %v", name, got)
+			}
+			return
+		}
+	}
+	numbered := func(i, n int) []byte {
+		p := bytes.Repeat([]byte{'z'}, n)
+		for j := 0; j < 4; j++ {
+			p[j] = byte('a' + (i>>(4*j))&15)
+		}
+		return p
+	}
+	fillUntilReset("tail arena", cacheTailArenaBytes/48, func(i int) ([]byte, int) { return numbered(i, 64), 1 })
+	fillUntilReset("rank arena", cacheRankArenaLen/12, func(i int) ([]byte, int) { return numbered(i, 12), 12 })
+	fillUntilReset("entry cap", cacheMaxEntries, func(i int) ([]byte, int) { return numbered(i, 8), 1 })
+}
+
+// testPieceCacheStream runs the cache key shapes through the streaming
+// encoder twice over: pieces of every length from 2 to 17, 64 and 65
+// (one past the cacheable maximum), NUL-bearing punctuation pieces, and
+// words that encode to one through many ranks. The output must match
+// the reference, and hits + misses must still reconcile to pieces.
+func testPieceCacheStream(t *testing.T) {
+	var in []byte
+	for _, n := range []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 64, 65} {
+		w := bytes.Repeat([]byte("the"), n)[:n]
+		in = append(in, w...)
+		in = append(in, '\n')
+		w[n-1] = 'q'
+		in = append(in, w...)
+		in = append(in, '\n')
+	}
+	in = append(in, "!\x00\n!\x00\x00\n\x00\x00 a\x00b the people of the world\n"...)
+	in = append(in, in...)
+
+	tok, err := Compile(testTok.Vocab(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstReference(t, tok, in)
+	pieces, _ := tok.Counters()
+	hits, misses, _ := tok.CacheCounters()
+	if hits+misses != pieces {
+		t.Fatalf("hits %d + misses %d != pieces %d", hits, misses, pieces)
+	}
+	if hits == 0 || misses == 0 {
+		t.Fatalf("hits %d, misses %d: want both", hits, misses)
+	}
+	ranksPerPiece := map[int]bool{}
+	ScanPieces(in, func(start, end int) {
+		ranksPerPiece[min(len(tok.Vocab().Encode(nil, in[start:end])), 4)] = true
+	})
+	for _, nr := range []int{1, 2, 3, 4} {
+		if !ranksPerPiece[nr] {
+			t.Errorf("no piece encodes to %d ranks (4 = four or more); have %v", nr, ranksPerPiece)
+		}
+	}
+}
+
+// TestPieceCacheFootprint pins the per-stream cache size (slot table
+// plus both overflow arenas, allocated once per stream) to at most the
+// 2,359,296 bytes (2.25 MiB) of the earlier entry-array layout: the
+// wider slots are paid for by the smaller overflow arenas.
+func TestPieceCacheFootprint(t *testing.T) {
+	slot := int(unsafe.Sizeof(cacheSlot{}))
+	if slot != 32 {
+		t.Errorf("cacheSlot is %d bytes, want 32 (two per cache line)", slot)
+	}
+	if total := cacheSlots*slot + cacheTailArenaBytes + cacheRankArenaLen*4; total > 2359296 {
+		t.Errorf("piece cache is %d bytes per stream, over the 2359296-byte budget", total)
 	}
 }

@@ -189,7 +189,6 @@ type Stream struct {
 
 	emit    core.EmitFunc // user sink for the current Feed/Close call
 	pieceFn core.EmitFunc // cached closure over onPiece
-	batchFn core.EmitFunc // cached closure over batchEmit
 
 	cache *pieceCache // per-stream piece-encoding memo (kept across pooling)
 
@@ -197,8 +196,8 @@ type Stream struct {
 	enc []int   // fallback merge-loop scratch
 	sc  encodeScratch
 
-	batch     []token.Token // batched emission buffer
-	batchSink core.BatchFunc
+	batch     []token.Token  // batched emission buffer
+	batchSink core.BatchFunc // non-nil only inside FeedBatch/CloseBatch
 
 	pieces, fallbacks uint64 // folded into the tokenizer on release/close
 }
@@ -207,7 +206,6 @@ type Stream struct {
 func (t *Tokenizer) NewStream() *Stream {
 	s := &Stream{t: t, ps: t.ptok.NewStreamer(), cache: newPieceCache()}
 	s.pieceFn = s.onPiece
-	s.batchFn = s.batchEmit
 	return s
 }
 
@@ -222,7 +220,6 @@ func (t *Tokenizer) AcquireStream() *Stream {
 	}
 	s := &Stream{t: t, ps: t.ptok.AcquireStreamer(), cache: newPieceCache()}
 	s.pieceFn = s.onPiece
-	s.batchFn = s.batchEmit
 	return s
 }
 
@@ -299,35 +296,43 @@ func (s *Stream) Close(emit core.EmitFunc) int {
 	return rest
 }
 
-// FeedBatch is Feed with batched emission: ranks are buffered as
-// offset-only tokens and flushed to sink at buffer pressure and at the
-// chunk boundary.
+// FeedBatch is Feed with batched emission: ranks are appended straight
+// to the stream's batch buffer as offset-only tokens and flushed to
+// sink at buffer pressure and at the chunk boundary. A nil sink
+// discards, as Feed(chunk, nil) does.
 func (s *Stream) FeedBatch(chunk []byte, sink core.BatchFunc) {
-	s.batchSink = sink
-	s.emit = s.batchFn
+	if sink == nil {
+		s.Feed(chunk, nil)
+		return
+	}
+	s.startBatch(sink)
 	s.ps.Feed(chunk, s.pieceFn)
 	s.flushBatch()
-	s.emit = nil
 	s.batchSink = nil
 }
 
-// CloseBatch is Close with batched emission of the final pieces.
+// CloseBatch is Close with batched emission of the final pieces. A nil
+// sink discards, as Close(nil) does.
 func (s *Stream) CloseBatch(sink core.BatchFunc) int {
-	s.batchSink = sink
-	s.emit = s.batchFn
+	if sink == nil {
+		return s.Close(nil)
+	}
+	s.startBatch(sink)
 	rest := s.ps.Close(s.pieceFn)
 	s.flushBatch()
-	s.emit = nil
 	s.batchSink = nil
 	s.foldCounters()
 	return rest
 }
 
-func (s *Stream) batchEmit(tok token.Token, _ []byte) {
-	s.batch = append(s.batch, tok)
-	if len(s.batch) >= 512 {
-		s.flushBatch()
+// batchCap is the batch buffer's capacity and flush threshold.
+const batchCap = 512
+
+func (s *Stream) startBatch(sink core.BatchFunc) {
+	if cap(s.batch) == 0 {
+		s.batch = make([]token.Token, 0, batchCap)
 	}
+	s.batchSink = sink
 }
 
 func (s *Stream) flushBatch() {
@@ -356,46 +361,56 @@ func (s *Stream) Rest() int { return s.ps.Rest() }
 // without touching the DFA, the validity caches, or the merge loop.
 func (s *Stream) onPiece(ptok token.Token, text []byte) {
 	s.pieces++
-	v := s.t.vocab
+	c := s.cache
 	if len(text) == 1 {
 		// A single byte is always its byte token: the byte table is the
 		// degenerate always-warm cache, so this counts as a hit (keeping
 		// hits+misses == pieces exact).
-		s.cache.hits++
-		r := int(v.byteRank[text[0]])
-		s.emit(token.Token{Start: ptok.Start, End: ptok.End, Rule: r}, text)
+		c.hits++
+		b := int(text[0])
+		s.emitRanks(ptok, text, s.t.vocab.byteRank[b:b+1])
 		return
 	}
-	cacheable := len(text) <= maxCachedPieceLen && !s.t.noCache
-	var h uint32
-	if cacheable {
-		h = pieceHash(text)
-		if ranks := s.cache.lookup(text, h); ranks != nil {
-			s.cache.hits++
-			s.emitRanks(ptok, text, ranks)
-			return
-		}
+	if len(text) > maxCachedPieceLen || s.t.noCache {
+		c.misses++
+		s.emitRanks(ptok, text, s.encodeUncached(text))
+		return
 	}
-	s.cache.misses++
+	k := makePieceKey(text)
+	if ranks := c.lookup(&k, text); ranks != nil {
+		c.hits++
+		s.emitRanks(ptok, text, ranks)
+		return
+	}
+	c.misses++
 	ranks := s.encodeUncached(text)
-	if cacheable {
-		s.cache.insert(text, h, ranks)
-	}
+	c.insert(&k, text, ranks)
 	s.emitRanks(ptok, text, ranks)
 }
 
-// emitRanks emits one token per rank; offsets are recovered from the
-// token lengths (a certified encoding tiles the piece exactly).
+// emitRanks emits one token per rank. A certified encoding tiles the
+// piece exactly, so offsets follow from the token lengths and the last
+// token ends where the piece does (most pieces are one token: no length
+// lookup at all). Inside FeedBatch/CloseBatch the tokens go straight
+// into the batch buffer, flushed to the sink whenever it fills so one
+// token-dense Feed still runs in bounded memory.
 func (s *Stream) emitRanks(ptok token.Token, text []byte, ranks []int32) {
-	v := s.t.vocab
-	start := 0
-	for _, r := range ranks {
-		end := start + len(v.tokens[r])
-		s.emit(token.Token{
-			Start: ptok.Start + start,
-			End:   ptok.Start + end,
-			Rule:  int(r),
-		}, text[start:end])
+	toks := s.t.vocab.tokens
+	start := ptok.Start
+	for i, r := range ranks {
+		end := ptok.End
+		if i+1 < len(ranks) {
+			end = start + len(toks[r])
+		}
+		tok := token.Token{Start: start, End: end, Rule: int(r)}
+		if s.batchSink != nil {
+			s.batch = append(s.batch, tok)
+			if len(s.batch) >= batchCap {
+				s.flushBatch()
+			}
+		} else {
+			s.emit(tok, text[start-ptok.Start:end-ptok.Start])
+		}
 		start = end
 	}
 }

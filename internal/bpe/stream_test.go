@@ -2,6 +2,7 @@ package bpe
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"streamtok/internal/token"
@@ -74,9 +75,22 @@ func streamRanks(t *Tokenizer, chunks [][]byte) ([]token.Token, int) {
 	return toks, rest
 }
 
+// streamBatchRanks is streamRanks through FeedBatch/CloseBatch.
+func streamBatchRanks(t *Tokenizer, chunks [][]byte) ([]token.Token, int) {
+	s := t.AcquireStream()
+	defer t.ReleaseStream(s)
+	var toks []token.Token
+	sink := func(batch []token.Token) { toks = append(toks, batch...) }
+	for _, c := range chunks {
+		s.FeedBatch(c, sink)
+	}
+	rest := s.CloseBatch(sink)
+	return toks, rest
+}
+
 // checkAgainstReference pins the streamed encoding of input to the
 // reference encoder: same ranks, contiguous offsets, decodable back to
-// the input.
+// the input; the batched path must emit the same tokens.
 func checkAgainstReference(t *testing.T, tok *Tokenizer, input []byte) {
 	t.Helper()
 	want := tok.Vocab().Encode(nil, input)
@@ -105,6 +119,11 @@ func checkAgainstReference(t *testing.T, tok *Tokenizer, input []byte) {
 		}
 		if pos != len(input) {
 			t.Fatalf("chunking %d: tokens cover %d bytes, input is %d", ci, pos, len(input))
+		}
+		btoks, brest := streamBatchRanks(tok, chunks)
+		if brest != rest || !slices.Equal(btoks, toks) {
+			t.Fatalf("chunking %d: FeedBatch emitted %d tokens rest %d, Feed %d tokens rest %d",
+				ci, len(btoks), brest, len(toks), rest)
 		}
 	}
 }

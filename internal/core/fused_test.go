@@ -6,12 +6,14 @@ import (
 	"testing"
 
 	"streamtok/internal/analysis"
+	"streamtok/internal/bpe"
 	"streamtok/internal/core"
 	"streamtok/internal/grammars"
 	"streamtok/internal/reference"
 	"streamtok/internal/tepath"
 	"streamtok/internal/testutil"
 	"streamtok/internal/tokdfa"
+	"streamtok/internal/token"
 	"streamtok/internal/workload"
 )
 
@@ -191,4 +193,128 @@ func TestFusedLazyFallback(t *testing.T) {
 			t.Fatalf("lazy fallback diverged on %q", in)
 		}
 	}
+}
+
+// TestFusedGeneralRingEdges pins the fused general loop's ring
+// handling: A reads the ring only for a chunk's first k bytes and the
+// chunk itself afterwards, and every exit refills the ring. Every k ≥ 2
+// fused-general catalog grammar and the BPE pretokenizer run at each
+// chunk size from 1 to k+2 (chunks shorter than, equal to and just past
+// the ring), 7 and 4096, with a checkpoint taken after every Feed and
+// the stream resumed from it on a fresh streamer — so a wrong ring at a
+// normal exit, after an accel skip, or at a dead stop shows up as a
+// wrong token, text or Rest.
+func TestFusedGeneralRingEdges(t *testing.T) {
+	type target struct {
+		name   string
+		m      *tokdfa.Machine
+		inputs [][]byte
+	}
+	rng := rand.New(rand.NewSource(29))
+	var targets []target
+	for _, spec := range grammars.All() {
+		tg := target{name: spec.Name, m: spec.Machine()}
+		if in, err := workload.Generate(spec.Name, 5, 8<<10); err == nil {
+			tg.inputs = append(tg.inputs, in)
+		}
+		targets = append(targets, tg)
+	}
+	pm, err := tokdfa.Compile(bpe.PretokGrammar(), tokdfa.Options{Minimize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets = append(targets, target{"bpe-pretok", pm, [][]byte{workload.Prompts(5, 8<<10)}})
+
+	tested := 0
+	for _, tg := range targets {
+		res := analysis.Analyze(tg.m)
+		if !res.Bounded() || res.MaxTND < 2 {
+			continue
+		}
+		tok, err := core.NewWithK(tg.m, res.MaxTND, tepath.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tok.EngineMode() != "fused-general" {
+			continue
+		}
+		tested++
+		k := res.MaxTND
+		t.Logf("%s: k=%d accel states %d", tg.name, k, tok.AccelStates())
+		inputs := tg.inputs
+		inputs = append(inputs, runHeavyInputs([]byte("a0 \t\n\"<>/=.-x"))...)
+		// Dead stops: a run-heavy prefix, then a byte the grammar may
+		// reject, at offsets on both sides of a chunk's first k bytes.
+		for _, cut := range []int{1, k, k + 1, 97} {
+			for _, bad := range []byte{0x00, 0xff, '\\', '"'} {
+				in := append(bytes.Repeat([]byte("a"), cut), bad)
+				inputs = append(inputs, append(in, "aaaa bbbb"...))
+			}
+		}
+		for trial := 0; trial < 10; trial++ {
+			inputs = append(inputs, testutil.RandomInput(rng, []byte("ab0 \"\\{}<>\n"), rng.Intn(120)))
+		}
+		var sizes []int
+		for c := 1; c <= k+2; c++ {
+			sizes = append(sizes, c)
+		}
+		sizes = append(sizes, 7, 4096)
+		for _, in := range inputs {
+			want, wantRest := reference.Tokens(tg.m, in)
+			for _, chunk := range sizes {
+				got, texts, rest := resumeEveryChunk(t, tok, in, chunk)
+				if !reference.Equal(got, want) || rest != wantRest {
+					t.Fatalf("%s (k=%d, chunk %d) on %q:\n got  %v rest %d\n want %v rest %d",
+						tg.name, k, chunk, clipInput(in), got, rest, want, wantRest)
+				}
+				for i, tk := range got {
+					if !bytes.Equal(texts[i], in[tk.Start:tk.End]) {
+						t.Fatalf("%s (k=%d, chunk %d): token %d text %q != input[%d:%d]",
+							tg.name, k, chunk, i, texts[i], tk.Start, tk.End)
+					}
+				}
+			}
+		}
+	}
+	if tested < 3 {
+		t.Fatalf("only %d k ≥ 2 fused-general targets; want json, xml and the pretokenizer at least", tested)
+	}
+}
+
+// resumeEveryChunk streams input in fixed chunks, suspending after
+// every Feed and resuming the checkpoint on a fresh streamer.
+func resumeEveryChunk(t *testing.T, tok *core.Tokenizer, input []byte, chunk int) ([]token.Token, [][]byte, int) {
+	t.Helper()
+	var toks []token.Token
+	var texts [][]byte
+	emit := func(tk token.Token, text []byte) {
+		toks = append(toks, tk)
+		texts = append(texts, append([]byte(nil), text...))
+	}
+	s := tok.NewStreamer()
+	for i := 0; i < len(input); i += chunk {
+		s.Feed(input[i:min(i+chunk, len(input))], emit)
+		if s.Stopped() {
+			break
+		}
+		cs, err := s.CheckpointState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs.CheckQA = true
+		r := tok.NewStreamer()
+		if err := r.Restore(cs); err != nil {
+			t.Fatalf("restore after %d bytes: %v", min(i+chunk, len(input)), err)
+		}
+		s.Discard()
+		s = r
+	}
+	return toks, texts, s.Close(emit)
+}
+
+func clipInput(b []byte) []byte {
+	if len(b) > 80 {
+		return b[:80]
+	}
+	return b
 }

@@ -73,9 +73,22 @@ func (s *Streamer) feedFusedSmall(chunk []byte, emit EmitFunc) {
 
 // feedFusedGeneral is the k ≥ 2 fast path over the eager TeDFA: B and A
 // step their own flat tables (independent loads; B on the current byte,
-// A on the byte k positions back via the power-of-two delay ring) and
-// the maximality + dead + rule decisions collapse into one action word
-// indexed by the (q_A, s_B) pair.
+// A on the byte k positions back) and the maximality + dead + rule
+// decisions collapse into one action word indexed by the (q_A, s_B)
+// pair.
+//
+// The delay ring is touched only at chunk edges. A's byte at chunk
+// index i is the stream byte k positions back: for the first k indices
+// that byte came from an earlier chunk and sits in the ring, and from
+// i = k on it is chunk[i-k]. So a short prologue steps A out of the
+// ring (and keeps the ring current, carrying A's bytes for the pending
+// token's text), and the steady-state loops read A's byte straight
+// from the chunk with no ring store, mask, or carry test per byte; at
+// every exit past the prologue the ring is refilled with the last k
+// bytes B consumed, so Checkpoint and Close see exactly the ring the
+// per-byte loop would have left. Throughout the steady state A sits at
+// stream offset base+i+1-k after index i, so pos is derived, not
+// counted.
 func (s *Streamer) feedFusedGeneral(chunk []byte, emit EmitFunc) {
 	e := s.fe
 	at := s.m.DFA.Trans
@@ -101,6 +114,39 @@ func (s *Streamer) feedFusedGeneral(chunk []byte, emit EmitFunc) {
 		ring[(h+s.filled)&mask] = b
 		s.filled++
 	}
+	// Prologue: A consumes the ring's bytes, all from earlier chunks.
+	// Accel attempts start with the steady state (they would have to
+	// scan across the ring), which only delays a skip by < k bytes.
+	for lim := min(n, k); i < lim; i++ {
+		b := chunk[i]
+		sb = int(bt[sb*nc+int(classOf[b])])
+		a := ring[h]
+		ring[(h+k)&mask] = b
+		h = (h + 1) & mask
+		s.carry = append(s.carry, a) // the pending token's text
+		qa = int(at[qa*nc+int(classOf[a])])
+		pos++
+		w := act[qa*nS+sb] & fused.GActionBit
+		if w == fused.GContinue {
+			continue
+		}
+		if w == fused.GDead {
+			s.qa, s.s, s.head, s.pos = qa, sb, h, pos
+			s.stop()
+			return
+		}
+		s.pos = pos
+		s.emitToken(emit, int(w-fused.GEmitBase), chunk, base)
+		qa = s.m.DFA.Start // emitToken restarted A
+	}
+	if i >= n {
+		s.qa, s.s, s.head, s.pos = qa, sb, h, pos
+		s.saveCarry(chunk, base)
+		return
+	}
+	// Steady state: i ≥ k, A's byte is chunk[i-k]. Every exit below
+	// leaves through stopAt or the normal exit, which refill the ring.
+	aBase := base + 1 - k // A's stream offset after index i is aBase+i
 	// Accel attempts are suppressed below noAccel: briefly mid-run after a
 	// failed probe, and for long stretches when the profitability governor
 	// decides attempts are not paying (attempts roughly double the work
@@ -119,27 +165,18 @@ func (s *Streamer) feedFusedGeneral(chunk []byte, emit EmitFunc) {
 				lim = n
 			}
 			for ; i < lim; i++ {
-				b := chunk[i]
-				sb = int(bt[sb*nc+int(classOf[b])])
-				a := ring[h]
-				ring[(h+k)&mask] = b
-				h = (h + 1) & mask
-				if pos < base {
-					s.carry = append(s.carry, a)
-				}
-				qa = int(at[qa*nc+int(classOf[a])])
-				pos++
+				sb = int(bt[sb*nc+int(classOf[chunk[i]])])
+				qa = int(at[qa*nc+int(classOf[chunk[i-k]])])
 				w := act[qa*nS+sb] & fused.GActionBit
 				if w == fused.GContinue {
 					continue
 				}
 				if w == fused.GDead {
-					s.qa, s.s, s.head, s.pos = qa, sb, h, pos
 					s.noteAccel(attempts, skipped)
-					s.stop()
+					s.stopAt(chunk, i, qa, sb, aBase+i)
 					return
 				}
-				s.pos = pos
+				s.pos = aBase + i
 				s.emitToken(emit, int(w-fused.GEmitBase), chunk, base)
 				qa = s.m.DFA.Start // emitToken restarted A
 			}
@@ -149,27 +186,18 @@ func (s *Streamer) feedFusedGeneral(chunk []byte, emit EmitFunc) {
 		// falls back to the suppressed loop above). The dispatch guarantees
 		// i+1 ≥ noAccel throughout, so the accel arm does not re-check it.
 		for ; i < n; i++ {
-			b := chunk[i]
-			sb = int(bt[sb*nc+int(classOf[b])]) // B is k symbols ahead of A
-			a := ring[h]
-			ring[(h+k)&mask] = b
-			h = (h + 1) & mask
-			if pos < base {
-				// a came from a previous chunk: preserve it for the
-				// pending token's text.
-				s.carry = append(s.carry, a)
-			}
-			qa = int(at[qa*nc+int(classOf[a])])
-			pos++
+			sb = int(bt[sb*nc+int(classOf[chunk[i]])]) // B is k symbols ahead of A
+			qa = int(at[qa*nc+int(classOf[chunk[i-k]])])
 			w := act[qa*nS+sb]
 			if w == fused.GContinue {
 				continue
 			}
 			if w&fused.GAccelBit != 0 {
 				// The (qa, sb) pair self-loops on a byte class. A consumes
-				// the ring before the scanned bytes, so the run is only
-				// skippable when the ring is inside the class too — which
-				// it is whenever both machines are already mid-run.
+				// the delayed bytes before the scanned ones, so the run is
+				// only skippable when those are inside the class too —
+				// which they are whenever both machines are already
+				// mid-run.
 				if i+1 >= n {
 					continue
 				}
@@ -189,10 +217,10 @@ func (s *Streamer) feedFusedGeneral(chunk []byte, emit EmitFunc) {
 					break
 				}
 				inf := &gInfos[gAccelIdx[qa*nS+sb]]
-				if bad := ringBad(inf, ring, h, mask, k); bad >= 0 {
+				if bad := delayedBad(inf, chunk[i+1-k:i+1]); bad >= 0 {
 					// A still has an out-of-class byte to consume;
 					// cheap to detect, so skip the scan entirely and
-					// retry once that byte has left the ring.
+					// retry once that byte has been consumed.
 					ringFails++
 					if !s.noObs {
 						s.c.FusedFallbacks++
@@ -201,27 +229,15 @@ func (s *Streamer) feedFusedGeneral(chunk []byte, emit EmitFunc) {
 					i++
 					break
 				}
-				attempts++ // scans cost O(run); ringBad rejects only O(k)
+				attempts++ // scans cost O(run); delayedBad rejects only O(k)
 				j := inf.ScanRun(chunk, i+1)
 				r := j - (i + 1)
-				// Any run long enough to refill the ring is worth
-				// skipping: the scan is already paid, and the run's
-				// interior then never re-enters this branch.
+				// Runs of at least k bytes are skipped (the scan is
+				// already paid, and the run's interior then never
+				// re-enters this branch); shorter ones are stepped with
+				// attempts paused until the run ends.
 				if r >= k {
-					if pos < base {
-						cnt := base - pos
-						if cnt > r {
-							cnt = r
-						}
-						for t := 0; t < cnt; t++ {
-							s.carry = append(s.carry, ring[(h+t)&mask])
-						}
-					}
-					pos += r
 					skipped += r
-					// The ring now holds the run's last k bytes.
-					copy(ring[:k], chunk[j-k:j])
-					h = 0
 					i = j - 1
 					continue
 				}
@@ -233,28 +249,44 @@ func (s *Streamer) feedFusedGeneral(chunk []byte, emit EmitFunc) {
 				break
 			}
 			if w == fused.GDead {
-				s.qa, s.s, s.head, s.pos = qa, sb, h, pos
 				s.noteAccel(attempts, skipped)
-				s.stop()
+				s.stopAt(chunk, i, qa, sb, aBase+i)
 				return
 			}
-			s.pos = pos
+			s.pos = aBase + i
 			s.emitToken(emit, int(w-fused.GEmitBase), chunk, base)
 			qa = s.m.DFA.Start // emitToken restarted A
 		}
 	}
-	s.qa, s.s, s.head, s.pos = qa, sb, h, pos
+	s.qa, s.s, s.pos = qa, sb, aBase+n-1
+	s.refillRing(chunk[n-k:])
 	s.noteAccel(attempts, skipped)
 	s.saveCarry(chunk, base)
 }
 
-// ringBad returns the highest ring index (in consumption order) holding
-// a byte outside the accel class, or -1 when all k delayed bytes are
-// inside it. The latter is a precondition for bulk skipping: A consumes
-// the ring during the skip while the skip assumes its state cannot move.
-func ringBad(inf *fused.AccelInfo, ring []byte, h, mask, k int) int {
-	for t := k - 1; t >= 0; t-- {
-		if !inf.Contains(ring[(h+t)&mask]) {
+// stopAt is feedFusedGeneral's dead exit from the steady state: B has
+// consumed chunk[:i+1], so the ring is left holding chunk[i+1-k:i+1].
+func (s *Streamer) stopAt(chunk []byte, i, qa, sb, pos int) {
+	s.qa, s.s, s.pos = qa, sb, pos
+	s.refillRing(chunk[i+1-s.k : i+1])
+	s.stop()
+}
+
+// refillRing makes the ring hold the k delayed bytes last, in stream
+// order from the head.
+func (s *Streamer) refillRing(last []byte) {
+	copy(s.ring, last)
+	s.head = 0
+}
+
+// delayedBad returns the highest index of delayed (the k bytes B has
+// consumed but A has not, in consumption order) holding a byte outside
+// the accel class, or -1 when all are inside it. The latter is a
+// precondition for bulk skipping: A consumes them during the skip while
+// the skip assumes its state cannot move.
+func delayedBad(inf *fused.AccelInfo, delayed []byte) int {
+	for t := len(delayed) - 1; t >= 0; t-- {
+		if !inf.Contains(delayed[t]) {
 			return t
 		}
 	}

@@ -101,6 +101,12 @@ func FuzzFusedDifferential(f *testing.F) {
 	f.Add(3, uint8(1), uint8(5), []byte(`a,"b""c",d`))
 	f.Add(5, uint8(64), uint8(2), []byte("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa b"))
 	f.Add(7, uint8(3), uint8(17), []byte("/*ab*/ xxxxxxxxxxxxxxxxxxxxxxxx\n"))
+	// Chunks shorter than k on the k ≥ 2 fused-general grammars (k = 2,
+	// 3, 4, 2): the ring is read, not the chunk, for every A byte.
+	f.Add(2, uint8(1), uint8(1), []byte("12.34 . 5.6.7 8888888.9"))
+	f.Add(3, uint8(2), uint8(1), []byte("12e+3 45E-67     1e 2e+ 999999999e9"))
+	f.Add(4, uint8(3), uint8(2), []byte("aaaab aaaaab aab ab aaaa b"))
+	f.Add(14, uint8(1), uint8(3), []byte("ababc ab abababc abababab c"))
 	f.Fuzz(func(t *testing.T, pick int, c1, c2 uint8, input []byte) {
 		fuzzFusedOnce.Do(fuzzFusedSetup)
 		if len(fuzzToks) == 0 {

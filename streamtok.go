@@ -463,7 +463,8 @@ func (s *Streamer) Feed(chunk []byte, emit EmitFunc) {
 // FeedBatch is Feed with batched emission: tokens are buffered and sink
 // is invoked with batches of them (at buffer pressure and once at the
 // chunk boundary), cutting the per-token indirect-call overhead on
-// token-dense streams. The token stream is identical to Feed's.
+// token-dense streams. The token stream is identical to Feed's. A nil
+// sink discards, like a nil EmitFunc.
 func (s *Streamer) FeedBatch(chunk []byte, sink BatchFunc) {
 	if s.b != nil {
 		s.b.FeedBatch(chunk, sink)
@@ -482,6 +483,7 @@ func (s *Streamer) Close(emit EmitFunc) int {
 }
 
 // CloseBatch is Close with batched emission of the drained tail tokens.
+// A nil sink discards.
 func (s *Streamer) CloseBatch(sink BatchFunc) int {
 	if s.b != nil {
 		return s.b.CloseBatch(sink)

@@ -170,3 +170,54 @@ func TestMachineFileSource(t *testing.T) {
 		t.Error("missing machine file accepted")
 	}
 }
+
+// TestStreamerNilBatchSink pins the documented nil-sink contract of
+// FeedBatch and CloseBatch on both tokenizer kinds: a nil sink discards
+// (like a nil EmitFunc) instead of panicking, and the stream stays
+// consistent, so a later non-nil sink receives exactly the tail of the
+// full token stream.
+func TestStreamerNilBatchSink(t *testing.T) {
+	grammarTok, err := streamtok.New(streamtok.MustParseGrammar(`[a-z]+`, `[0-9]+`, `[ ,.]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vocabTok, err := streamtok.Compile(trainTestVocab(t), streamtok.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := []byte("abc 123, def 4567. the quick brown fox jumps over 89 lazy dogs")
+	for _, tc := range []struct {
+		name string
+		tok  *streamtok.Tokenizer
+	}{{"grammar", grammarTok}, {"vocab", vocabTok}} {
+		t.Run(tc.name, func(t *testing.T) {
+			all, rest := tc.tok.TokenizeBytes(input)
+			if rest != len(input) {
+				t.Fatalf("TokenizeBytes rest %d, want %d", rest, len(input))
+			}
+
+			s := tc.tok.NewStreamer()
+			s.FeedBatch(input, nil)
+			if got := s.CloseBatch(nil); got != len(input) {
+				t.Fatalf("nil-sink CloseBatch rest %d, want %d", got, len(input))
+			}
+
+			var tail []streamtok.Token
+			sink := func(batch []streamtok.Token) { tail = append(tail, batch...) }
+			s = tc.tok.NewStreamer()
+			s.FeedBatch(input[:20], nil)
+			s.FeedBatch(input[20:], sink)
+			if got := s.CloseBatch(sink); got != len(input) {
+				t.Fatalf("CloseBatch rest %d, want %d", got, len(input))
+			}
+			if len(tail) == 0 || len(tail) > len(all) {
+				t.Fatalf("%d tokens after the discarded prefix, full stream has %d", len(tail), len(all))
+			}
+			for i, tk := range tail {
+				if want := all[len(all)-len(tail)+i]; tk != want {
+					t.Fatalf("tail token %d = %+v, want %+v", i, tk, want)
+				}
+			}
+		})
+	}
+}
