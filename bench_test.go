@@ -372,13 +372,12 @@ func BenchmarkRQ6Memory(b *testing.B) {
 func BenchmarkAblationK1Special(b *testing.B) {
 	m := machineFor(b, "csv")
 	input := formatInput(b, "csv")
-	// Split constructors: this ablation isolates Fig. 5 vs Fig. 6
-	// interpretation, not the fused engine (see BenchmarkFeed* for that).
-	k1, err := core.NewSplitWithK(m, 1, tepath.Limits{})
+	// Both shapes run fused: fused-k1 against fused-general.
+	k1, err := core.NewWithK(m, 1, tepath.Limits{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	general, err := core.NewSplitWithK(m, 2, tepath.Limits{})
+	general, err := core.NewWithK(m, 2, tepath.Limits{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -400,8 +399,8 @@ func BenchmarkAblationK1Special(b *testing.B) {
 func BenchmarkAblationTeDFAVsLazy(b *testing.B) {
 	m := machineFor(b, "json")
 	input := formatInput(b, "json")
-	// Split constructor so the comparison isolates the TeDFA strategy.
-	eager, err := core.NewSplitWithK(m, 3, tepath.Limits{})
+	// fused-general against the interpreted lazy loop.
+	eager, err := core.NewWithK(m, 3, tepath.Limits{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -514,16 +513,14 @@ func BenchmarkOOPSLA25Baselines(b *testing.B) {
 // --- Hot-loop microbenchmarks (ISSUE 2 tentpole) ------------------------
 //
 // BenchmarkFeed* isolate the per-byte steady-state cost of each engine
-// mode, running the same grammar+input through the split interpreter,
-// the fused action-table engine, and the fused engine without accel
-// states. MB/s comes from b.SetBytes.
+// mode, running the same grammar+input through the fused action-table
+// engine with and without accel states. MB/s comes from b.SetBytes.
 
 func benchEngineVariants(b *testing.B, m *tokdfa.Machine, k int, input []byte) {
 	variants := []struct {
 		name  string
 		build func(*tokdfa.Machine, int, tepath.Limits) (*core.Tokenizer, error)
 	}{
-		{"split", core.NewSplitWithK},
 		{"fused-noaccel", core.NewNoAccelWithK},
 		{"fused", core.NewWithK},
 	}
@@ -568,9 +565,8 @@ func BenchmarkFeedGeneral(b *testing.B) {
 	benchEngineVariants(b, machineFor(b, "json"), 3, formatInput(b, "json"))
 }
 
-// BenchmarkFeedGeneralLazy is the lazily determinized Fig. 6 loop (the
-// fused engine does not apply; this is the fallback everything else is
-// measured against).
+// BenchmarkFeedGeneralLazy is the lazily determinized Fig. 6 loop, the
+// interpreted fallback for K ≥ 2 grammars over the fused budgets.
 func BenchmarkFeedGeneralLazy(b *testing.B) {
 	m := machineFor(b, "json")
 	input := formatInput(b, "json")

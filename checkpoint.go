@@ -76,11 +76,10 @@ func Resume(t *Tokenizer, cursor []byte) (*Streamer, error) {
 		Boundary: int(cur.Boundary),
 		Pending:  cur.Pending,
 		QA:       int(cur.QA),
-		// The recorded DFA state is only comparable when the resuming
-		// engine runs the same mode (the fused small engine runs A
-		// undelayed, so its live state leads the split engines' by the
-		// lookahead); across modes the replay verification alone
-		// decides.
+		// The recorded DFA state is only checked when the resuming
+		// engine runs the same mode; across modes (fused-general and
+		// split-general-lazy builds of one grammar) the replay
+		// verification alone decides.
 		CheckQA:  cur.EngineMode == t.inner.EngineMode(),
 		Counters: cur.Counters,
 	}

@@ -49,8 +49,9 @@ func feedChunks(t *testing.T, s *streamtok.Streamer, input, full []byte, chunk i
 }
 
 // TestCheckpointResumeDifferential is the tentpole correctness test:
-// for every bounded catalog grammar, under both the fused and the split
-// engines, a single pass feeds the input in small chunks and takes a
+// for every bounded catalog grammar, under the fused engine and — for
+// K ≥ 2 grammars — the split-general-lazy loop a 1-byte fused budget
+// forces, a single pass feeds the input in small chunks and takes a
 // cursor at every chunk boundary (proving Checkpoint does not perturb
 // the live stream), then every cursor is resumed on a second tokenizer
 // of the same build and driven to EOF. Each resumed stream must emit
@@ -58,20 +59,27 @@ func feedChunks(t *testing.T, s *streamtok.Streamer, input, full []byte, chunk i
 // emitted, with identical offsets, texts, and Rest.
 func TestCheckpointResumeDifferential(t *testing.T) {
 	for _, name := range checkpointFormats {
+		// k is the grammar's lookahead bound, read from the fused build,
+		// which runs first.
+		k := -1
 		for _, mode := range []struct {
-			label string
+			label string // "split" stands for the split-general-lazy mode
 			opts  streamtok.Options
 		}{
 			{"fused", streamtok.Options{}},
-			{"split", streamtok.Options{DisableFused: true}},
+			{"split", streamtok.Options{MaxFusedTableBytes: 1}},
 		} {
+			if mode.label == "split" && k < 2 {
+				continue // K ≤ 1 grammars always run fused
+			}
 			t.Run(name+"/"+mode.label, func(t *testing.T) {
+				tokA := compileCatalog(t, name, mode.opts)
+				tokB := compileCatalog(t, name, mode.opts)
+				k = tokA.K()
 				input, err := workload.Generate(name, 7, 600)
 				if err != nil {
 					t.Fatal(err)
 				}
-				tokA := compileCatalog(t, name, mode.opts)
-				tokB := compileCatalog(t, name, mode.opts)
 				wantToks, wantRest := tokA.TokenizeBytes(input)
 
 				const chunk = 3
@@ -144,19 +152,20 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 	}
 }
 
-// TestResumeCrossEngine: a cursor taken under the fused engine resumes
-// on a split-engine build of the same grammar (and vice versa). The
-// cursor carries byte-level state only, so it is portable across engine
-// representations; the QA cross-check is skipped when modes differ.
+// TestResumeCrossEngine: a cursor taken under the fused-general engine
+// resumes on a split-general-lazy build of the same grammar (forced with
+// a 1-byte fused budget), and vice versa. The cursor carries byte-level
+// state only, so it is portable across engine representations; the QA
+// cross-check is skipped when modes differ.
 func TestResumeCrossEngine(t *testing.T) {
 	input, err := workload.Generate("json", 11, 800)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fused := compileCatalog(t, "json", streamtok.Options{})
-	split := compileCatalog(t, "json", streamtok.Options{DisableFused: true})
-	if fused.Engine().Mode == split.Engine().Mode {
-		t.Skipf("json compiles to %q under both option sets; cross-engine resume not exercisable", fused.Engine().Mode)
+	split := compileCatalog(t, "json", streamtok.Options{MaxFusedTableBytes: 1})
+	if fm, sm := fused.Engine().Mode, split.Engine().Mode; fm != "fused-general" || sm != "split-general-lazy" {
+		t.Fatalf("json modes %q and %q, want fused-general and split-general-lazy", fm, sm)
 	}
 	wantToks, wantRest := fused.TokenizeBytes(input)
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -234,6 +235,30 @@ func TestAgainstCommittedArtifacts(t *testing.T) {
 		}
 		if len(res.Regressions) != 0 {
 			t.Errorf("%s self-diff regressed: %+v", c.file, res.Regressions)
+		}
+	}
+
+	// The gated hotloop speedup is fused over fused-noaccel (what the
+	// accel states add), consistent with the two MB/s columns.
+	tb, err := loadTable(filepath.Join("..", "..", "BENCH_hotloop.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var idx [3]int
+	for i, h := range []string{"fused-noaccel", "fused", "speedup"} {
+		if idx[i], err = columnIndex(tb, h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range tb.Rows {
+		var v [3]float64
+		for i := range v {
+			if v[i], err = parseCell(r[idx[i]]); err != nil {
+				t.Fatalf("row %v: %v", r, err)
+			}
+		}
+		if na, fu, sp := v[0], v[1], v[2]; math.Abs(fu/na-sp) > 0.01 {
+			t.Errorf("hotloop row %v: speedup %.2f, fused/fused-noaccel = %.3f", r, sp, fu/na)
 		}
 	}
 }

@@ -54,7 +54,7 @@ func main() {
 	registryCap := flag.Int("registry-cap", 0, "compiled-grammar cache capacity (0 = 64)")
 	noAdhoc := flag.Bool("no-adhoc", false, "refuse ?rule= compile-on-demand grammars")
 	memBudget := flag.String("mem-budget", "", "cap on certified resident table bytes across grammars, e.g. 4M or 256K (empty = unlimited)")
-	fusedBudget := flag.String("fused-budget", "", "per-grammar cap on fused action tables, e.g. 4M (empty = 16M default; over-budget grammars serve from the split loops)")
+	fusedBudget := flag.String("fused-budget", "", "per-grammar cap on the K>=2 fused pair tables, e.g. 4M (empty = 16M default; over-budget K>=2 grammars serve from the lazy TeDFA loop, K<=1 grammars always stay fused)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight streams on shutdown")
 	flag.Parse()
 	logger := log.New(os.Stderr, "streamtokd: ", log.LstdFlags)

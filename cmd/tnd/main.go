@@ -52,7 +52,7 @@ func main() {
 	lint := flag.Bool("lint", false, "run the full diagnostic suite (unbounded-TND root cause, shadowed rules, overlaps, ε-rules, error traps)")
 	certify := flag.Bool("certify", false, "derive the static resource certificate, verify it, and print it")
 	jsonOut := flag.Bool("json", false, "print the analysis (or, with -lint/-certify, the report) as JSON")
-	fusedBudget := flag.Int("fused-budget", 0, "cap on fused action table bytes for -certify/-emit engines (0 = 16M default)")
+	fusedBudget := flag.Int("fused-budget", 0, "cap on the K>=2 fused pair-table bytes for -certify/-emit engines (0 = 16M default; over it K>=2 certifies the lazy TeDFA loop, K<=1 stays fused)")
 	flag.Parse()
 
 	if *listGrammars {

@@ -13,8 +13,9 @@ import (
 // Ablations isolates the design choices DESIGN.md calls out:
 //
 //   - the Fig. 5 K=1 specialization vs the general Fig. 6 machinery (run
-//     on a max-TND-1 grammar with the overestimate K=2);
-//   - the eagerly materialized TeDFA vs the lazily determinized one;
+//     on a max-TND-1 grammar with the overestimate K=2), both fused;
+//   - the eagerly materialized TeDFA (fused-general) vs the lazily
+//     determinized one (the interpreted lazy loop);
 //   - token-text delivery (zero-copy chunk slices) vs offsets-only
 //     consumption (the emit callback's cost floor).
 func Ablations(cfg Config) Table {
@@ -42,17 +43,17 @@ func Ablations(cfg Config) Table {
 		panic(err)
 	}
 	mCSV := csvSpec.Machine()
-	k1, err := core.NewSplitWithK(mCSV, 1, tepath.Limits{})
+	k1, err := core.NewWithK(mCSV, 1, tepath.Limits{})
 	if err != nil {
 		panic(err)
 	}
-	gen, err := core.NewSplitWithK(mCSV, 2, tepath.Limits{})
+	gen, err := core.NewWithK(mCSV, 2, tepath.Limits{})
 	if err != nil {
 		panic(err)
 	}
 	t.Rows = append(t.Rows,
-		[]string{"fig5-vs-fig6", "fig5 K=1 table", runOn(k1, csvIn)},
-		[]string{"fig5-vs-fig6", "fig6 general (K=2)", runOn(gen, csvIn)},
+		[]string{"fig5-vs-fig6", "fig5 K=1 (" + k1.EngineMode() + ")", runOn(k1, csvIn)},
+		[]string{"fig5-vs-fig6", "fig6 K=2 (" + gen.EngineMode() + ")", runOn(gen, csvIn)},
 	)
 
 	// Eager vs lazy TeDFA, on JSON (max-TND 3).
@@ -65,7 +66,7 @@ func Ablations(cfg Config) Table {
 		panic(err)
 	}
 	mJSON := jsonSpec.Machine()
-	eager, err := core.NewSplitWithK(mJSON, 3, tepath.Limits{})
+	eager, err := core.NewWithK(mJSON, 3, tepath.Limits{})
 	if err != nil {
 		panic(err)
 	}
@@ -74,8 +75,8 @@ func Ablations(cfg Config) Table {
 		panic(err)
 	}
 	t.Rows = append(t.Rows,
-		[]string{"tedfa", fmt.Sprintf("eager (%d states)", eager.TeDFASize()), runOn(eager, jsonIn)},
-		[]string{"tedfa", "lazy (per-stream)", runOn(lazy, jsonIn)},
+		[]string{"tedfa", fmt.Sprintf("eager %s (%d states)", eager.EngineMode(), eager.TeDFASize()), runOn(eager, jsonIn)},
+		[]string{"tedfa", "lazy " + lazy.EngineMode() + " (per-stream)", runOn(lazy, jsonIn)},
 	)
 
 	// Emit cost: token text consumed vs offsets only.

@@ -29,7 +29,7 @@ func Experiments() []Experiment {
 		{"table2", "application speedups (RQ5)", Table2},
 		{"rq6", "memory footprint StreamTok vs ExtOracle", RQ6},
 		{"ablations", "design-choice isolation (not a paper figure)", Ablations},
-		{"hotloop", "fused hot loop vs split loops, accel on/off (not a paper figure)", Hotloop},
+		{"hotloop", "fused hot loop with accel states on/off (not a paper figure)", Hotloop},
 		{"lintstats", "grammar diagnostics over the corpus (not a paper figure)", Lintstats},
 		{"latency", "emission latency vs the K bound (not a paper figure)", Latency},
 		{"obsoverhead", "always-on observability counters vs no-obs build (not a paper figure)", ObsOverhead},

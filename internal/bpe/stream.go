@@ -40,13 +40,11 @@ type Options struct {
 	// MaxTeDFAStates caps the pretokenizer's token-extension DFA (0 =
 	// default).
 	MaxTeDFAStates int
-	// DisableFused keeps the pretokenizer on the split loops (ablation).
-	DisableFused bool
 	// MaxFusedTableBytes is the resident-table budget (0 = the 16 MB
 	// default), shared by the vocab DFA table and the pretokenizer's
 	// fused tables: the pretokenizer gets whatever the vocab table
-	// leaves, and a vocabulary whose table alone exceeds the budget
-	// serves with the pretokenizer on the split loops. The vocab table
+	// leaves, and a vocabulary whose table alone fills the budget
+	// serves with the pretokenizer on the lazy TeDFA loop. The vocab table
 	// is charged at its serving representation — the sparse
 	// row-displacement layout once adopted — which is what lets 32k+
 	// merge vocabularies fit the default budget with room for fused
@@ -125,8 +123,10 @@ func Compile(v *Vocab, opts Options) (*Tokenizer, error) {
 	remaining := budget - vm.TableBytes()
 	limits := tepath.Limits{MaxDFAStates: opts.MaxTeDFAStates}
 	var ptok *core.Tokenizer
-	if opts.DisableFused || remaining <= 0 {
-		ptok, err = core.NewSplitWithK(pm, pres.MaxTND, limits)
+	if remaining <= 0 {
+		// Nothing left for pair tables. Passing the budget on is not an
+		// option: the engine reads 0 as "the default".
+		ptok, err = core.NewLazyWithK(pm, pres.MaxTND, limits)
 	} else {
 		ptok, err = core.NewWithKBudget(pm, pres.MaxTND, limits, remaining)
 	}

@@ -158,6 +158,27 @@ func TestStreamMatchesReference(t *testing.T) {
 	}
 }
 
+// TestCompileBudgetBelowVocabTable: a fused budget the vocab table alone
+// fills leaves nothing for the pretokenizer's pair tables, so it must
+// serve from the lazy TeDFA loop — not from a default-budget fused
+// engine, which is what forwarding a zero remainder would select — and
+// still encode exactly like the reference.
+func TestCompileBudgetBelowVocabTable(t *testing.T) {
+	budget := testTok.VocabMachine().TableBytes() - 1
+	for _, b := range []int{budget, testTok.VocabMachine().TableBytes()} {
+		tok, err := Compile(testTok.Vocab(), Options{MaxFusedTableBytes: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tok.EngineMode(); got != "bpe+split-general-lazy" {
+			t.Fatalf("budget %d: mode %s, want bpe+split-general-lazy", b, got)
+		}
+		for _, in := range [][]byte{workload.Prompts(99, 4096), []byte("it's 1234 café\n")} {
+			checkAgainstReference(t, tok, in)
+		}
+	}
+}
+
 // TestStreamPiecesMatchScanPieces pins the compiled pretokenizer
 // grammar to the hand-rolled reference scanner over realistic text.
 func TestStreamPiecesMatchScanPieces(t *testing.T) {

@@ -17,9 +17,9 @@ import (
 	"streamtok/internal/workload"
 )
 
-// engineSet builds the three engine variants for one machine: the
-// default (fused when it fits), the split ablation baseline, and the
-// fused engine with accel states disabled.
+// engineSet builds the engine variants for one machine: the default
+// (fused unless a K ≥ 2 grammar is over budget), the fused engine with
+// accel states disabled, and for K ≥ 2 the lazy TeDFA loop.
 func engineSet(t *testing.T, m *tokdfa.Machine, k int) map[string]*core.Tokenizer {
 	t.Helper()
 	out := map[string]*core.Tokenizer{}
@@ -27,11 +27,13 @@ func engineSet(t *testing.T, m *tokdfa.Machine, k int) map[string]*core.Tokenize
 	if out["auto"], err = core.NewWithK(m, k, tepath.Limits{}); err != nil {
 		t.Fatalf("NewWithK: %v", err)
 	}
-	if out["split"], err = core.NewSplitWithK(m, k, tepath.Limits{}); err != nil {
-		t.Fatalf("NewSplitWithK: %v", err)
-	}
 	if out["noaccel"], err = core.NewNoAccelWithK(m, k, tepath.Limits{}); err != nil {
 		t.Fatalf("NewNoAccelWithK: %v", err)
+	}
+	if k >= 2 {
+		if out["lazy"], err = core.NewLazyWithK(m, k, tepath.Limits{}); err != nil {
+			t.Fatalf("NewLazyWithK: %v", err)
+		}
 	}
 	return out
 }
@@ -75,10 +77,11 @@ func runHeavyInputs(alphabet []byte) [][]byte {
 	return out
 }
 
-// TestFusedMatchesSplitCatalog is the oracle matrix for the tentpole:
-// on every bounded catalog grammar, the fused engine (with and without
-// accel) must match the split engine and the Definition 1 reference
-// byte-for-byte, on realistic workloads and run-heavy synthetics.
+// TestFusedMatchesSplitCatalog is the engine oracle matrix: on every
+// bounded catalog grammar, the fused engine (with and without accel)
+// and, for K ≥ 2, the interpreted split-general-lazy loop must match
+// the Definition 1 reference byte-for-byte, on realistic workloads and
+// run-heavy synthetics.
 func TestFusedMatchesSplitCatalog(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, spec := range grammars.All() {
@@ -130,9 +133,8 @@ func TestFusedMatchesSplitCorpus(t *testing.T) {
 }
 
 // TestFusedEngineSelected pins the mode auto-selection: the data
-// formats must actually get the fused engine (this is the tentpole's
-// default path), the split constructor must never have it, and the
-// run-heavy formats must end up with accel states.
+// formats must actually get the fused engine, and the run-heavy formats
+// must end up with accel states.
 func TestFusedEngineSelected(t *testing.T) {
 	for _, spec := range grammars.DataFormats() {
 		m := spec.Machine()
@@ -149,13 +151,6 @@ func TestFusedEngineSelected(t *testing.T) {
 		}
 		if tok.AccelStates() == 0 {
 			t.Errorf("%s: no accel states detected", spec.Name)
-		}
-		split, err := core.NewSplitWithK(m, res.MaxTND, tepath.Limits{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if split.Fused() || split.AccelStates() != 0 {
-			t.Errorf("%s: split constructor produced a fused engine", spec.Name)
 		}
 		noacc, err := core.NewNoAccelWithK(m, res.MaxTND, tepath.Limits{})
 		if err != nil {
@@ -262,7 +257,7 @@ func TestFusedGeneralRingEdges(t *testing.T) {
 		for _, in := range inputs {
 			want, wantRest := reference.Tokens(tg.m, in)
 			for _, chunk := range sizes {
-				got, texts, rest := resumeEveryChunk(t, tok, in, chunk)
+				got, texts, rest := resumeEveryChunk(t, tok, in, chunk, false)
 				if !reference.Equal(got, want) || rest != wantRest {
 					t.Fatalf("%s (k=%d, chunk %d) on %q:\n got  %v rest %d\n want %v rest %d",
 						tg.name, k, chunk, clipInput(in), got, rest, want, wantRest)
@@ -282,8 +277,10 @@ func TestFusedGeneralRingEdges(t *testing.T) {
 }
 
 // resumeEveryChunk streams input in fixed chunks, suspending after
-// every Feed and resuming the checkpoint on a fresh streamer.
-func resumeEveryChunk(t *testing.T, tok *core.Tokenizer, input []byte, chunk int) ([]token.Token, [][]byte, int) {
+// every Feed and resuming the checkpoint on a fresh streamer. With
+// batch set it drives FeedBatch/CloseBatch and reads the token texts
+// out of input.
+func resumeEveryChunk(t *testing.T, tok *core.Tokenizer, input []byte, chunk int, batch bool) ([]token.Token, [][]byte, int) {
 	t.Helper()
 	var toks []token.Token
 	var texts [][]byte
@@ -291,9 +288,19 @@ func resumeEveryChunk(t *testing.T, tok *core.Tokenizer, input []byte, chunk int
 		toks = append(toks, tk)
 		texts = append(texts, append([]byte(nil), text...))
 	}
+	sink := func(b []token.Token) {
+		for _, tk := range b {
+			emit(tk, input[tk.Start:tk.End])
+		}
+	}
 	s := tok.NewStreamer()
 	for i := 0; i < len(input); i += chunk {
-		s.Feed(input[i:min(i+chunk, len(input))], emit)
+		part := input[i:min(i+chunk, len(input))]
+		if batch {
+			s.FeedBatch(part, sink)
+		} else {
+			s.Feed(part, emit)
+		}
 		if s.Stopped() {
 			break
 		}
@@ -308,6 +315,9 @@ func resumeEveryChunk(t *testing.T, tok *core.Tokenizer, input []byte, chunk int
 		}
 		s.Discard()
 		s = r
+	}
+	if batch {
+		return toks, texts, s.CloseBatch(sink)
 	}
 	return toks, texts, s.Close(emit)
 }

@@ -4,17 +4,17 @@ import (
 	"streamtok/internal/fused"
 )
 
-// The fused feed loops: same emission, carry, and draining semantics as
-// the split loops in streamtok.go (byte-identical token streams, pinned
-// by differential tests and fuzzing), with the per-byte decision
-// flattened into the internal/fused action tables and long self-loop
-// runs skipped in bulk. Streamer fields are hoisted into locals for the
-// duration of a chunk and written back at every exit.
+// The fused feed loops: Streamer fields are hoisted into locals for the
+// duration of a chunk and written back at every exit, and the per-byte
+// decision is flattened into the internal/fused action tables, with
+// long self-loop runs skipped in bulk. Token streams equal the
+// Definition 1 reference (internal/reference), pinned by differential
+// tests and fuzzing.
 
-// feedFusedSmall is the k ≤ 1 fast path. Unlike split feedK1, A runs
-// undelayed: the packed word already folds the one-byte-lookahead
-// decision of Fig. 5 into the transition for the current byte, so the
-// loop is one table load and one predictable branch per byte.
+// feedFusedSmall is the k ≤ 1 loop. A runs undelayed: the packed word
+// already folds the one-byte-lookahead decision of Fig. 5 into the
+// transition for the current byte, so the loop is one table load and
+// one predictable branch per byte.
 func (s *Streamer) feedFusedSmall(chunk []byte, emit EmitFunc) {
 	e := s.fe
 	words := e.Words
@@ -55,15 +55,31 @@ func (s *Streamer) feedFusedSmall(chunk []byte, emit EmitFunc) {
 			continue
 		}
 		act := w >> fused.SmallActShift
-		if act == fused.SActDead {
-			s.qa = q
-			s.pos = base + i + endAdj
-			s.noteAccel(attempts, skipped)
-			s.stop()
-			return
+		pos := base + i + endAdj
+		rule := int(act - fused.SActEmitBase)
+		if act >= fused.SActDead {
+			if act == fused.SActDead {
+				s.qa = q
+				s.pos = pos
+				s.noteAccel(attempts, skipped)
+				s.stop()
+				return
+			}
+			// SActLookup: q is the final state the token ended in;
+			// restart A here.
+			d := s.m.DFA
+			rule = d.Rule(q)
+			if endAdj != 0 {
+				q = d.Start
+			} else {
+				q = d.StepClass(d.Start, int(classOf[chunk[i]]))
+				if pos == s.startP {
+					continue // the empty token of a nullable rule
+				}
+			}
 		}
-		s.pos = base + i + endAdj
-		s.emitToken(emit, int(act-fused.SActEmitBase), chunk, base)
+		s.pos = pos
+		s.emitToken(emit, rule, chunk, base)
 	}
 	s.qa = q
 	s.pos = base + n
@@ -71,7 +87,7 @@ func (s *Streamer) feedFusedSmall(chunk []byte, emit EmitFunc) {
 	s.saveCarry(chunk, base)
 }
 
-// feedFusedGeneral is the k ≥ 2 fast path over the eager TeDFA: B and A
+// feedFusedGeneral is the k ≥ 2 loop over the eager TeDFA: B and A
 // step their own flat tables (independent loads; B on the current byte,
 // A on the byte k positions back) and the maximality + dead + rule
 // decisions collapse into one action word indexed by the (q_A, s_B)

@@ -77,25 +77,45 @@ func FuzzStreamTokDifferential(f *testing.F) {
 }
 
 var (
-	fuzzFusedOnce sync.Once
-	fuzzSplitToks []*core.Tokenizer
+	fuzzFusedOnce  sync.Once
+	fuzzFusedToks  []*core.Tokenizer // the corpus set, then the edge shapes
+	fuzzFusedMachs []*tokdfa.Machine
+	fuzzLazyToks   []*core.Tokenizer // the lazy loop per grammar for K ≥ 2, else nil
 )
 
+// fuzzFusedSetup extends the corpus set with the edge shapes of the
+// small fused engine (a nullable k=1 rule, and a k=0 grammar with more
+// rules than a packed action byte holds). Appending keeps the corpus
+// grammars' indices, which the committed seeds name.
 func fuzzFusedSetup() {
 	fuzzOnce.Do(fuzzSetup)
-	for _, tok := range fuzzToks {
-		split, err := core.NewSplitWithK(tok.Machine(), tok.K(), tepath.Limits{})
+	fuzzFusedToks = append(fuzzFusedToks, fuzzToks...)
+	fuzzFusedMachs = append(fuzzFusedMachs, fuzzMachs...)
+	for _, rules := range [][]string{{`[a-z]*`, ` `}, keywordRules(300)} {
+		m := tokdfa.MustCompile(tokdfa.MustParseGrammar(rules...), tokdfa.Options{Minimize: true})
+		tok, err := core.NewWithK(m, analysis.Analyze(m).MaxTND, tepath.Limits{})
 		if err != nil {
-			split = tok
+			panic(err)
 		}
-		fuzzSplitToks = append(fuzzSplitToks, split)
+		fuzzFusedToks = append(fuzzFusedToks, tok)
+		fuzzFusedMachs = append(fuzzFusedMachs, m)
+	}
+	for _, tok := range fuzzFusedToks {
+		var lazy *core.Tokenizer
+		if tok.K() >= 2 {
+			var err error
+			if lazy, err = core.NewLazyWithK(tok.Machine(), tok.K(), tepath.Limits{}); err != nil {
+				panic(err)
+			}
+		}
+		fuzzLazyToks = append(fuzzLazyToks, lazy)
 	}
 }
 
-// FuzzFusedDifferential cross-checks the fused fast engine against the
-// split engine and the reference oracle under fuzzer-chosen alternating
-// chunk boundaries (including 1-byte feeds), comparing tokens, emitted
-// text bytes, and Rest.
+// FuzzFusedDifferential cross-checks the default engine against the
+// reference oracle, and for K ≥ 2 the lazy TeDFA loop against it too,
+// under fuzzer-chosen alternating chunk boundaries (including 1-byte
+// feeds), comparing tokens, emitted text bytes, and Rest.
 func FuzzFusedDifferential(f *testing.F) {
 	f.Add(0, uint8(1), uint8(1), []byte("123 456"))
 	f.Add(3, uint8(1), uint8(5), []byte(`a,"b""c",d`))
@@ -109,13 +129,10 @@ func FuzzFusedDifferential(f *testing.F) {
 	f.Add(14, uint8(1), uint8(3), []byte("ababc ab abababc abababab c"))
 	f.Fuzz(func(t *testing.T, pick int, c1, c2 uint8, input []byte) {
 		fuzzFusedOnce.Do(fuzzFusedSetup)
-		if len(fuzzToks) == 0 {
-			t.Skip("no bounded grammars")
-		}
 		if pick < 0 {
 			pick = -pick
 		}
-		pick %= len(fuzzToks)
+		pick %= len(fuzzFusedToks)
 		run := func(tok *core.Tokenizer) ([]token.Token, [][]byte, int) {
 			var toks []token.Token
 			var texts [][]byte
@@ -140,26 +157,20 @@ func FuzzFusedDifferential(f *testing.F) {
 			rest := s.Close(collect)
 			return toks, texts, rest
 		}
-		m := fuzzMachs[pick]
-		want, wantRest := reference.Tokens(m, input)
-		fGot, fTexts, fRest := run(fuzzToks[pick])
-		sGot, sTexts, sRest := run(fuzzSplitToks[pick])
-		if !reference.Equal(fGot, want) || fRest != wantRest {
-			t.Fatalf("fused diverged from oracle on %q (grammar %d): got %v rest %d, want %v rest %d",
-				input, pick, fGot, fRest, want, wantRest)
-		}
-		if !reference.Equal(sGot, want) || sRest != wantRest {
-			t.Fatalf("split diverged from oracle on %q (grammar %d)", input, pick)
-		}
-		if len(fTexts) != len(sTexts) {
-			t.Fatalf("text count mismatch: fused %d split %d", len(fTexts), len(sTexts))
-		}
-		for i := range fTexts {
-			if string(fTexts[i]) != string(sTexts[i]) {
-				t.Fatalf("token %d text mismatch: fused %q split %q", i, fTexts[i], sTexts[i])
+		want, wantRest := reference.Tokens(fuzzFusedMachs[pick], input)
+		for _, tok := range []*core.Tokenizer{fuzzFusedToks[pick], fuzzLazyToks[pick]} {
+			if tok == nil {
+				continue
 			}
-			if string(fTexts[i]) != string(input[fGot[i].Start:fGot[i].End]) {
-				t.Fatalf("token %d text %q != input[%d:%d]", i, fTexts[i], fGot[i].Start, fGot[i].End)
+			got, texts, rest := run(tok)
+			if !reference.Equal(got, want) || rest != wantRest {
+				t.Fatalf("%s diverged from oracle on %q (grammar %d): got %v rest %d, want %v rest %d",
+					tok.EngineMode(), input, pick, got, rest, want, wantRest)
+			}
+			for i := range texts {
+				if string(texts[i]) != string(input[got[i].Start:got[i].End]) {
+					t.Fatalf("%s: token %d text %q != input[%d:%d]", tok.EngineMode(), i, texts[i], got[i].Start, got[i].End)
+				}
 			}
 		}
 	})

@@ -10,6 +10,7 @@ import (
 
 	"streamtok/internal/analysis"
 	"streamtok/internal/core"
+	"streamtok/internal/reference"
 	"streamtok/internal/tepath"
 	"streamtok/internal/testutil"
 	"streamtok/internal/tokdfa"
@@ -32,10 +33,6 @@ func buildFused(m *tokdfa.Machine, k int) (*core.Tokenizer, error) {
 	return core.NewWithK(m, k, tepath.Limits{})
 }
 
-func buildSplit(m *tokdfa.Machine, k int) (*core.Tokenizer, error) {
-	return core.NewSplitWithK(m, k, tepath.Limits{})
-}
-
 func buildLazy(m *tokdfa.Machine, k int) (*core.Tokenizer, error) {
 	return core.NewLazyWithK(m, k, tepath.Limits{})
 }
@@ -49,11 +46,8 @@ func servingCases() []servingCase {
 	genChunk := []byte("3.14 15.92 6.5 35.89 ")
 	return []servingCase{
 		{"fused-k0", k0Rules, func(k int) bool { return k == 0 }, k0Chunk, buildFused},
-		{"split-k0", k0Rules, func(k int) bool { return k == 0 }, k0Chunk, buildSplit},
 		{"fused-k1", k1Rules, func(k int) bool { return k == 1 }, k1Chunk, buildFused},
-		{"split-k1", k1Rules, func(k int) bool { return k == 1 }, k1Chunk, buildSplit},
 		{"fused-general", genRules, func(k int) bool { return k >= 2 }, genChunk, buildFused},
-		{"split-general", genRules, func(k int) bool { return k >= 2 }, genChunk, buildSplit},
 		{"split-general-lazy", genRules, func(k int) bool { return k >= 2 }, genChunk, buildLazy},
 	}
 }
@@ -144,7 +138,7 @@ func TestTokenizeReaderPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	c := servingCases()[2] // fused-k1
+	c := servingCases()[1] // fused-k1
 	tok := buildCase(t, c)
 	input := bytes.Repeat(c.chunk, 256)
 	emit := func(token.Token, []byte) {}
@@ -251,7 +245,7 @@ func TestBatchFlushPressure(t *testing.T) {
 // acquire tokenizes exactly like a fresh streamer, and Reset mid-stream
 // discards the old stream into the aggregate.
 func TestPoolReuseAndReset(t *testing.T) {
-	c := servingCases()[4] // fused-general
+	c := servingCases()[2] // fused-general
 	tok := buildCase(t, c)
 	input := bytes.Repeat(c.chunk, 50)
 	wantToks, wantRest := tok.TokenizeBytes(input)
@@ -299,7 +293,7 @@ func TestPoolConcurrentReconciliation(t *testing.T) {
 		goroutines = 8
 		streams    = 25
 	)
-	c := servingCases()[4] // fused-general
+	c := servingCases()[2] // fused-general
 	tok := buildCase(t, c)
 	input := bytes.Repeat(c.chunk, 200)
 	wantToks, _ := tok.TokenizeBytes(input)
@@ -357,7 +351,7 @@ func TestPoolConcurrentReconciliation(t *testing.T) {
 // driver (streamer + read-buffer pools) from many goroutines at
 // different buffer sizes.
 func TestPooledTokenizeConcurrent(t *testing.T) {
-	c := servingCases()[2] // fused-k1
+	c := servingCases()[1] // fused-k1
 	tok := buildCase(t, c)
 	input := bytes.Repeat(c.chunk, 300)
 	wantToks, wantRest := tok.TokenizeBytes(input)
@@ -392,10 +386,9 @@ func TestPooledTokenizeConcurrent(t *testing.T) {
 
 // TestBigGrammarFusedZeroAllocs: the byte-class compressed fused engine
 // stays allocation-free on the warm path at keyword-grammar scale (1k
-// rules, K=2 paired action tables) — the regime where the dense layout
-// blew the fused budget and fell back to the split loops. The compressed
-// tables fit the default budget, so this also pins that a 1k-rule
-// grammar actually serves fused.
+// rules, K=2 paired action tables). The compressed tables fit the
+// default budget, so this also pins that a 1k-rule grammar serves fused
+// rather than from the lazy loop.
 func TestBigGrammarFusedZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -434,9 +427,9 @@ func TestBigGrammarFusedZeroAllocs(t *testing.T) {
 }
 
 // TestBigGrammarDifferential: on a 1k-rule keyword grammar the
-// compressed fused engine and the split interpreter loops emit
-// byte-identical token streams under adversarial chunking — the
-// correctness half of the big-grammar scaling claim.
+// compressed fused engine and the lazy TeDFA loop both emit the
+// reference token stream under adversarial chunking — the correctness
+// half of the big-grammar scaling claim.
 func TestBigGrammarDifferential(t *testing.T) {
 	rules, err := workload.BigGrammarRules(1000)
 	if err != nil {
@@ -448,7 +441,7 @@ func TestBigGrammarDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	splitTok, err := core.NewSplitWithK(m, res.MaxTND, tepath.Limits{})
+	lazyTok, err := core.NewLazyWithK(m, res.MaxTND, tepath.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,16 +449,16 @@ func TestBigGrammarDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, wantRest := reference.Tokens(m, input)
 	rng := rand.New(rand.NewSource(13))
-	collect := func(tok *core.Tokenizer, chunks [][]byte) []token.Token {
+	collect := func(tok *core.Tokenizer, chunks [][]byte) ([]token.Token, int) {
 		var out []token.Token
 		emit := func(tk token.Token, _ []byte) { out = append(out, tk) }
 		s := tok.NewStreamer()
 		for _, c := range chunks {
 			s.Feed(c, emit)
 		}
-		s.Close(emit)
-		return out
+		return out, s.Close(emit)
 	}
 	for round := 0; round < 4; round++ {
 		var chunks [][]byte
@@ -477,10 +470,12 @@ func TestBigGrammarDifferential(t *testing.T) {
 			chunks = append(chunks, input[off:off+n])
 			off += n
 		}
-		got := collect(fusedTok, chunks)
-		want := collect(splitTok, chunks)
-		if len(got) == 0 || !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: fused (%d tokens) and split (%d tokens) streams differ", round, len(got), len(want))
+		for _, tok := range []*core.Tokenizer{fusedTok, lazyTok} {
+			got, rest := collect(tok, chunks)
+			if len(got) == 0 || !reference.Equal(got, want) || rest != wantRest {
+				t.Fatalf("round %d: %s (%d tokens, rest %d) differs from the reference (%d tokens, rest %d)",
+					round, tok.EngineMode(), len(got), rest, len(want), wantRest)
+			}
 		}
 	}
 }

@@ -3,6 +3,11 @@
 // max-TND ≤ 1 and the general Fig. 6 algorithm for max-TND = K < ∞, with
 // correct end-of-stream draining for finite inputs.
 //
+// Every tokenizer runs exactly one of three loops: feedFusedSmall (K ≤ 1,
+// the packed internal/fused table), feedFusedGeneral (K ≥ 2 over an eager
+// TeDFA whose pair tables fit the fused budget), or feedGeneralLazy (any
+// other K ≥ 2, over the lazily determinized TeDFA).
+//
 // The engine has a push interface (Feed/Close) so it can sit behind any
 // stream source, plus io.Reader-based drivers in stream.go. Memory use is
 // independent of the stream length: a K-byte delay ring, the precomputed
@@ -51,10 +56,9 @@ const batchCap = 512
 type Tokenizer struct {
 	m    *tokdfa.Machine
 	k    int
-	te   *tepath.Table
-	lazy *tepath.Lazy
-	k1   *tepath.K1Table
-	fe   *fused.Engine // fused fast engine, nil → split loops
+	te   *tepath.Table // eager TeDFA, non-nil exactly in fused-general mode
+	lazy *tepath.Lazy  // lazy TeDFA, non-nil exactly in split-general-lazy mode
+	fe   *fused.Engine // fused engine, nil exactly in split-general-lazy mode
 
 	noObs bool // benchmark-only: skip the observability counters
 
@@ -76,10 +80,9 @@ type Tokenizer struct {
 type Streamer struct {
 	m    *tokdfa.Machine
 	k    int
-	te   *tepath.Table     // general mode, eager TeDFA (k >= 2)
-	eval *tepath.Evaluator // general mode, lazy TeDFA (k >= 2)
-	k1   *tepath.K1Table   // Fig. 5 mode (k == 1)
-	fe   *fused.Engine     // fused fast engine, nil → split loops
+	te   *tepath.Table     // fused-general mode, eager TeDFA (k >= 2)
+	eval *tepath.Evaluator // split-general-lazy mode, lazy TeDFA (k >= 2)
+	fe   *fused.Engine     // fused engine, nil in split-general-lazy mode
 	tok  *Tokenizer        // owner, for the observability registry
 
 	c          obs.Counters // always-on counters; plain fields, owner-updated
@@ -90,12 +93,10 @@ type Streamer struct {
 
 	qa       int    // current state of the tokenization DFA A
 	s        int    // current state of the token-extension DFA B
-	ring     []byte // delay ring: bytes B has consumed but A has not
-	ringMask int    // len(ring)-1 when the ring is power-of-two sized (fused general mode), else 0
+	ring     []byte // delay ring (k ≥ 2): bytes B has consumed but A has not
+	ringMask int    // len(ring)-1; the ring is power-of-two sized
 	head     int    // ring read index
 	filled   int    // bytes currently in the ring (≤ k)
-	prevOK   bool   // split k==1 mode: the one-byte delay slot is occupied
-	prev     byte   // split k==1 mode: the delayed byte
 
 	// ringScratch backs ringContents so the Close drain does not
 	// allocate per final-position check.
@@ -157,50 +158,33 @@ func New(m *tokdfa.Machine, limits tepath.Limits) (*Tokenizer, int, error) {
 // analysis). k must be an upper bound on TkDist(r̄); the algorithm is
 // correct for any finite upper bound, and fastest when k is exact.
 //
-// For k ≥ 2 the token-extension DFA is materialized eagerly; if it
-// exceeds its budget (it can be exponential in k), the tokenizer falls
-// back to a lazily determinized TeDFA whose transitions are computed on
-// first use per stream — same O(1) steady-state cost, memory proportional
-// to the powerstates the stream actually visits.
-//
-// When the tables fit the fused-engine budget, the tokenizer additionally
-// compiles the per-byte decision sequence into the internal/fused fast
-// path (packed action tables + run-skipping accel states) and streams
-// through it; the split loops remain the fallback and the ablation
-// baseline (NewSplitWithK).
+// For k ≤ 1 the tokenizer runs the internal/fused packed table (one load
+// and one predictable branch per byte, plus run-skipping accel states).
+// For k ≥ 2 the token-extension DFA is materialized eagerly and fused
+// with A into pair action tables; if the TeDFA exceeds its state budget
+// (it can be exponential in k) or the pair tables exceed the fused byte
+// budget, the tokenizer serves from a lazily determinized TeDFA whose
+// transitions are computed on first use per stream — same O(1)
+// steady-state cost, memory proportional to the powerstates the stream
+// actually visits.
 func NewWithK(m *tokdfa.Machine, k int, limits tepath.Limits) (*Tokenizer, error) {
 	return NewWithKBudget(m, k, limits, 0)
 }
 
 // NewWithKBudget is NewWithK with an explicit fused-table byte budget
-// (0 selects the 16 MB default). The budget caps every array the fused
-// hot loop touches — packed/action tables, accel index, class maps, and
-// the compressed A/B transition rows — so raising it lets larger grammars
-// stay fused and lowering it forces the split loops earlier.
+// (0 selects the 16 MB default). The budget caps every array the k ≥ 2
+// fused loop touches — pair action table, accel index, class map, and
+// the compressed A/B transition rows — so raising it lets larger
+// grammars stay fused and lowering it sends k ≥ 2 grammars to the lazy
+// loop earlier. k ≤ 1 grammars are always fused.
 func NewWithKBudget(m *tokdfa.Machine, k int, limits tepath.Limits, fusedBudget int) (*Tokenizer, error) {
-	t, err := newSplit(m, k, limits)
-	if err != nil {
-		return nil, err
-	}
-	t.fe = fused.Build(m, k, t.te, fused.Options{MaxTableBytes: fusedBudget})
-	return t, nil
-}
-
-// NewSplitWithK is NewWithK without the fused fast engine (for ablation
-// benchmarks and differential tests against the split loops).
-func NewSplitWithK(m *tokdfa.Machine, k int, limits tepath.Limits) (*Tokenizer, error) {
-	return newSplit(m, k, limits)
+	return build(m, k, limits, fused.Options{MaxTableBytes: fusedBudget})
 }
 
 // NewNoAccelWithK builds the fused engine with accel states disabled
 // (isolating action-table fusion from run skipping in ablations).
 func NewNoAccelWithK(m *tokdfa.Machine, k int, limits tepath.Limits) (*Tokenizer, error) {
-	t, err := newSplit(m, k, limits)
-	if err != nil {
-		return nil, err
-	}
-	t.fe = fused.Build(m, k, t.te, fused.Options{NoAccel: true})
-	return t, nil
+	return build(m, k, limits, fused.Options{NoAccel: true})
 }
 
 // NewNoObsWithK is NewWithK with the observability counters compiled
@@ -216,58 +200,67 @@ func NewNoObsWithK(m *tokdfa.Machine, k int, limits tepath.Limits) (*Tokenizer, 
 	return t, nil
 }
 
-func newSplit(m *tokdfa.Machine, k int, limits tepath.Limits) (*Tokenizer, error) {
+// build selects the engine: fused for k ≤ 1, fused-general for k ≥ 2
+// when the eager TeDFA and the pair tables fit their budgets, and the
+// lazy TeDFA loop otherwise.
+func build(m *tokdfa.Machine, k int, limits tepath.Limits, opts fused.Options) (*Tokenizer, error) {
+	t, err := newTokenizer(m, k)
+	if err != nil {
+		return nil, err
+	}
+	if k <= 1 {
+		if n := m.DFA.NumStates(); n > fused.StateMask+1 {
+			return nil, fmt.Errorf("streamtok: tokenization DFA has %d states, more than the k ≤ 1 engine packs (%d)", n, fused.StateMask+1)
+		}
+		t.fe = fused.Build(m, k, nil, opts)
+		return t, nil
+	}
+	// Cap the eager attempt: practical grammars' TeDFAs are far below
+	// this budget, and probing the full lazy limit before falling back
+	// would waste seconds on exponential families.
+	eagerLimits := limits
+	if eagerLimits.MaxDFAStates == 0 {
+		eagerLimits.MaxDFAStates = 1 << 12
+	}
+	te, err := tepath.Build(m, k, eagerLimits)
+	switch {
+	case err == nil:
+		if fe := fused.Build(m, k, te, opts); fe != nil {
+			t.te, t.fe = te, fe
+			return t, nil
+		}
+	case err != tepath.ErrTooLarge:
+		return nil, err
+	}
+	if t.lazy, err = tepath.BuildLazy(m, k, limits); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+func newTokenizer(m *tokdfa.Machine, k int) (*Tokenizer, error) {
 	if m.DFA.Trans == nil {
 		// A machine serving from the sparse row-displacement layout is a
 		// scanner (BPE vocab DFA): the streaming engines index class-table
 		// rows directly and do not run on it.
 		return nil, fmt.Errorf("streamtok: machine has no class transition table (sparse scanner machines cannot drive the streaming engines)")
 	}
-	t := &Tokenizer{m: m, k: k, live: map[*Streamer]struct{}{}}
-	switch {
-	case k <= 0:
-		// No lookahead needed: every token is maximal at its final state.
-	case k == 1:
-		t.k1 = tepath.BuildK1(m)
-	default:
-		// Cap the eager attempt: practical grammars' TeDFAs are far
-		// below this budget, and probing the full lazy limit before
-		// falling back would waste seconds on exponential families.
-		eagerLimits := limits
-		if eagerLimits.MaxDFAStates == 0 {
-			eagerLimits.MaxDFAStates = 1 << 12
-		}
-		te, err := tepath.Build(m, k, eagerLimits)
-		if err == nil {
-			t.te = te
-			break
-		}
-		if err != tepath.ErrTooLarge {
-			return nil, err
-		}
-		lazy, lerr := tepath.BuildLazy(m, k, limits)
-		if lerr != nil {
-			return nil, lerr
-		}
-		t.lazy = lazy
-	}
-	return t, nil
+	return &Tokenizer{m: m, k: k, live: map[*Streamer]struct{}{}}, nil
 }
 
-// NewLazyWithK is NewWithK but always uses the lazy TeDFA (for ablation
-// benchmarks).
+// NewLazyWithK is NewWithK but always uses the lazy TeDFA, whatever the
+// budgets (for ablation benchmarks and differential tests). The lazy
+// loop is the Fig. 6 machinery, so k must be at least 2.
 func NewLazyWithK(m *tokdfa.Machine, k int, limits tepath.Limits) (*Tokenizer, error) {
-	t := &Tokenizer{m: m, k: k, live: map[*Streamer]struct{}{}}
-	switch {
-	case k <= 0:
-	case k == 1:
-		t.k1 = tepath.BuildK1(m)
-	default:
-		lazy, err := tepath.BuildLazy(m, k, limits)
-		if err != nil {
-			return nil, err
-		}
-		t.lazy = lazy
+	if k < 2 {
+		return nil, fmt.Errorf("streamtok: the lazy TeDFA engine needs k ≥ 2 (got k = %d)", k)
+	}
+	t, err := newTokenizer(m, k)
+	if err != nil {
+		return nil, err
+	}
+	if t.lazy, err = tepath.BuildLazy(m, k, limits); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -291,23 +284,13 @@ func (t *Tokenizer) TeDFASize() int {
 func (t *Tokenizer) Lazy() bool { return t.lazy != nil }
 
 // EngineMode names the execution mode the tokenizer selected:
-// "fused-k0", "fused-k1", or "fused-general" when the fused fast engine
-// is active; "split-k0", "split-k1", "split-general", or
-// "split-general-lazy" for the interpreted loops.
+// "fused-k0", "fused-k1", or "fused-general" for the fused engine, or
+// "split-general-lazy" for the interpreted lazy TeDFA loop.
 func (t *Tokenizer) EngineMode() string {
-	if t.fe != nil {
-		return t.fe.ModeName()
-	}
-	switch {
-	case t.k <= 0:
-		return "split-k0"
-	case t.k == 1:
-		return "split-k1"
-	case t.lazy != nil:
+	if t.fe == nil {
 		return "split-general-lazy"
-	default:
-		return "split-general"
 	}
+	return t.fe.ModeName()
 }
 
 // Fused reports whether the fused fast engine is active.
@@ -323,23 +306,16 @@ func (t *Tokenizer) AccelStates() int {
 }
 
 // RingBytes returns the exact size in bytes of the delay ring each of
-// this tokenizer's streams allocates: 0 when no ring is needed (k ≤ 1
-// fused, or k == 0), 1 for the split k == 1 delay slot, k for the split
-// general loops, and the next power of two ≥ k for the fused general
-// loop (which indexes the ring with a mask). This is the per-stream
-// figure resource certificates bind; the observed RingMax high-water
-// mark never exceeds it.
+// this tokenizer's streams allocates: 0 for k ≤ 1 (A runs undelayed),
+// and the next power of two ≥ k for both k ≥ 2 loops (which index the
+// ring with a mask). This is the per-stream figure resource
+// certificates bind; the observed RingMax high-water mark never exceeds
+// it.
 func (t *Tokenizer) RingBytes() int {
-	switch {
-	case t.te != nil && t.fe != nil && t.fe.Mode == fused.ModeGeneral:
-		return nextPow2(t.k)
-	case t.te != nil || t.lazy != nil:
-		return t.k
-	case t.fe == nil && t.k == 1:
-		return 1 // the split Fig. 5 one-byte delay slot
-	default:
+	if t.k <= 1 {
 		return 0
 	}
+	return nextPow2(t.k)
 }
 
 // AccelSlots returns how many fused states (ModeSmall) or (q_A, s_B)
@@ -357,21 +333,16 @@ func (t *Tokenizer) AccelSlots() int {
 const MaxRetainedCarryCap = maxRetainedCarryCap
 
 // TableBytes returns the memory footprint of the precomputed automata and
-// tables: the tokenization DFA, the token-extension DFA (k ≥ 2), or the
-// Fig. 5 table (k == 1). Together with the input buffer and the K-byte
-// delay ring this is StreamTok's entire stream-independent state (the RQ6
-// accounting).
+// tables: the tokenization DFA, the eager token-extension DFA (fused
+// general mode), and the fused engine's own tables. Together with the
+// input buffer and the K-byte delay ring this is StreamTok's entire
+// stream-independent state (the RQ6 accounting).
 func (t *Tokenizer) TableBytes() int {
-	d := t.m.DFA
-	n := d.TableBytes()
+	n := t.m.DFA.TableBytes()
 	if t.te != nil {
 		n += t.te.Bytes()
 	}
-	if t.k1 != nil {
-		n += t.k1.Bytes() // fused Fig. 5 action table
-	}
-	n += t.fe.Bytes()
-	return n
+	return n + t.fe.Bytes()
 }
 
 // NewStreamer starts tokenizing a fresh stream and registers it in the
@@ -382,7 +353,7 @@ func (t *Tokenizer) TableBytes() int {
 // appear in Counters() snapshots) but is never freed from the registry,
 // so long-lived tokenizers should Close or Discard every stream.
 func (t *Tokenizer) NewStreamer() *Streamer {
-	s := &Streamer{m: t.m, k: t.k, te: t.te, k1: t.k1, fe: t.fe, tok: t, noObs: t.noObs}
+	s := &Streamer{m: t.m, k: t.k, te: t.te, fe: t.fe, tok: t, noObs: t.noObs}
 	if !t.noObs {
 		s.c.TokensByRule = make([]uint64, len(t.m.Grammar.Rules))
 		s.latK = bits.Len64(uint64(t.k))
@@ -390,19 +361,13 @@ func (t *Tokenizer) NewStreamer() *Streamer {
 			s.latK = obs.LatencyBuckets - 1
 		}
 	}
-	if t.te != nil {
-		if t.fe != nil && t.fe.Mode == fused.ModeGeneral {
-			// The fused loop indexes the ring with a mask, so size it
-			// to the next power of two ≥ k.
-			c := nextPow2(t.k)
-			s.ring = make([]byte, c)
-			s.ringMask = c - 1
-		} else {
-			s.ring = make([]byte, t.k)
-		}
-	} else if t.lazy != nil {
+	if c := t.RingBytes(); c > 0 {
+		// The k ≥ 2 loops index the ring with a mask.
+		s.ring = make([]byte, c)
+		s.ringMask = c - 1
+	}
+	if t.lazy != nil {
 		s.eval = t.lazy.NewEvaluator()
-		s.ring = make([]byte, t.k)
 	}
 	s.start()
 	return s
@@ -424,7 +389,6 @@ func (s *Streamer) start() {
 		s.s = s.eval.Start()
 	}
 	s.head, s.filled = 0, 0
-	s.prevOK, s.prev = false, 0
 	s.startP, s.pos = 0, 0
 	s.stopped, s.rest = false, 0
 	s.done = false
@@ -537,9 +501,6 @@ func (s *Streamer) snapshot() obs.Counters {
 func (s *Streamer) snapshotInto(c *obs.Counters) {
 	s.c.CloneInto(c)
 	c.NoteCarry(len(s.carry))
-	if s.prevOK {
-		c.NoteRing(1) // split k==1: the one-byte delay slot
-	}
 	c.NoteRing(s.filled)
 	var total uint64
 	for _, n := range c.TokensByRule {
@@ -630,9 +591,6 @@ func (s *Streamer) subtractInherited(c *obs.Counters) {
 // survive into snapshots taken after the buffers drain).
 func (s *Streamer) noteBuffers() {
 	s.c.NoteCarry(len(s.carry))
-	if s.prevOK {
-		s.c.NoteRing(1) // split k==1: the one-byte delay slot
-	}
 	s.c.NoteRing(s.filled)
 }
 
@@ -657,18 +615,12 @@ func (s *Streamer) Feed(chunk []byte, emit EmitFunc) {
 		s.c.Chunks++
 	}
 	switch {
-	case s.fe != nil && s.fe.Mode == fused.ModeSmall:
-		s.feedFusedSmall(chunk, emit)
-	case s.fe != nil:
+	case s.te != nil:
 		s.feedFusedGeneral(chunk, emit)
-	case s.k <= 0:
-		s.feedK0(chunk, emit)
-	case s.k == 1:
-		s.feedK1(chunk, emit)
 	case s.eval != nil:
 		s.feedGeneralLazy(chunk, emit)
 	default:
-		s.feedGeneral(chunk, emit)
+		s.feedFusedSmall(chunk, emit)
 	}
 	if !s.noObs {
 		s.noteBuffers()
@@ -729,132 +681,14 @@ func (s *Streamer) PendingStart() int { return s.startP }
 // Offset returns the absolute stream offset of the next byte Feed will
 // consume — the total bytes fed into the logical stream, counting any
 // suspended segments replayed by Restore. It is pos plus the bytes B
-// has consumed but A has not (the delay slot and ring), an invariant
-// that holds in every engine mode.
-func (s *Streamer) Offset() int {
-	d := s.filled
-	if s.prevOK {
-		d++
-	}
-	return s.pos + d
-}
+// has consumed but A has not (the delay ring), an invariant that holds
+// in every engine mode.
+func (s *Streamer) Offset() int { return s.pos + s.filled }
 
-// feedK0: max-TND 0 means no token extends another, so A emits the moment
-// it reaches a final state.
-func (s *Streamer) feedK0(chunk []byte, emit EmitFunc) {
-	d := s.m.DFA
-	trans := d.Trans
-	classOf := &d.ClassOf
-	nc := d.NumClasses()
-	base := s.pos // stream offset of chunk[0]
-	qa, pos := s.qa, s.pos
-	for _, b := range chunk {
-		qa = int(trans[qa*nc+int(classOf[b])])
-		pos++
-		if d.IsFinal(qa) {
-			s.qa, s.pos = qa, pos
-			s.emitToken(emit, d.Rule(qa), chunk, base)
-			qa = s.qa // emitToken restarted A
-		} else if s.m.IsDead(qa) {
-			s.qa, s.pos = qa, pos
-			s.stop()
-			return
-		}
-	}
-	s.qa, s.pos = qa, pos
-	s.saveCarry(chunk, base)
-}
-
-// feedK1 implements Fig. 5: A runs one byte behind the input so each
-// table check T[q][a] sees the next byte as lookahead.
-func (s *Streamer) feedK1(chunk []byte, emit EmitFunc) {
-	d := s.m.DFA
-	trans := d.Trans
-	classOf := &d.ClassOf
-	nc := d.NumClasses()
-	k1 := s.k1
-	base := s.pos // stream offset chunk[0] will have for A
-	if s.prevOK {
-		base++ // the delayed byte precedes the chunk
-	}
-	qa, pos := s.qa, s.pos
-	prev, prevOK := s.prev, s.prevOK
-	for _, b := range chunk {
-		if !prevOK {
-			prev, prevOK = b, true
-			continue
-		}
-		a := prev
-		prev = b
-		if pos < base {
-			// a came from a previous chunk: preserve it for the
-			// pending token's text.
-			s.carry = append(s.carry, a)
-		}
-		qa = int(trans[qa*nc+int(classOf[a])])
-		pos++
-		if act := k1.Action(qa, b); act != tepath.ActContinue {
-			if act == tepath.ActDead {
-				s.qa, s.pos, s.prev, s.prevOK = qa, pos, prev, prevOK
-				s.stop()
-				return
-			}
-			s.qa, s.pos = qa, pos
-			s.emitToken(emit, int(act-tepath.ActEmitBase), chunk, base)
-			qa = s.qa // emitToken restarted A
-		}
-	}
-	s.qa, s.pos, s.prev, s.prevOK = qa, pos, prev, prevOK
-	s.saveCarry(chunk, base)
-}
-
-// feedGeneral implements Fig. 6: the token-extension DFA B consumes each
-// byte immediately; A consumes it K bytes later via the delay ring; the
-// maximality table is consulted after each A step.
-func (s *Streamer) feedGeneral(chunk []byte, emit EmitFunc) {
-	d := s.m.DFA
-	trans := d.Trans
-	classOf := &d.ClassOf
-	nc := d.NumClasses()
-	te := s.te
-	k := s.k
-	ring := s.ring
-	base := s.pos + s.filled // stream offset of chunk[0]
-	qa, sb, head, pos := s.qa, s.s, s.head, s.pos
-	for _, b := range chunk {
-		sb = te.Step(sb, b) // line 11: B is K symbols ahead of A
-		if s.filled < k {
-			ring[(head+s.filled)%k] = b
-			s.filled++
-			continue
-		}
-		a := ring[head]
-		ring[head] = b
-		head++
-		if head == k {
-			head = 0
-		}
-		if pos < base {
-			s.carry = append(s.carry, a)
-		}
-		qa = int(trans[qa*nc+int(classOf[a])]) // line 12
-		pos++
-		if te.MaximalFinal(qa, sb) { // line 14: T[q][S]
-			s.qa, s.s, s.head, s.pos = qa, sb, head, pos
-			s.emitToken(emit, d.Rule(qa), chunk, base)
-			qa = s.qa // emitToken restarted A
-		} else if s.m.IsDead(qa) {
-			s.qa, s.s, s.head, s.pos = qa, sb, head, pos
-			s.stop()
-			return
-		}
-	}
-	s.qa, s.s, s.head, s.pos = qa, sb, head, pos
-	s.saveCarry(chunk, base)
-}
-
-// feedGeneralLazy is feedGeneral over the lazily determinized TeDFA (the
-// loop is duplicated so both hot paths stay devirtualized).
+// feedGeneralLazy implements Fig. 6 over the lazily determinized TeDFA,
+// the one interpreted loop: B consumes each byte immediately; A consumes
+// it K bytes later via the delay ring; the maximality table is consulted
+// after each A step.
 func (s *Streamer) feedGeneralLazy(chunk []byte, emit EmitFunc) {
 	d := s.m.DFA
 	trans := d.Trans
@@ -863,27 +697,25 @@ func (s *Streamer) feedGeneralLazy(chunk []byte, emit EmitFunc) {
 	eval := s.eval
 	k := s.k
 	ring := s.ring
-	base := s.pos + s.filled
+	mask := s.ringMask
+	base := s.pos + s.filled // stream offset of chunk[0]
 	qa, sb, head, pos := s.qa, s.s, s.head, s.pos
 	for _, b := range chunk {
-		sb = eval.Step(sb, b)
+		sb = eval.Step(sb, b) // line 11: B is K symbols ahead of A
 		if s.filled < k {
-			ring[(head+s.filled)%k] = b
+			ring[(head+s.filled)&mask] = b
 			s.filled++
 			continue
 		}
 		a := ring[head]
-		ring[head] = b
-		head++
-		if head == k {
-			head = 0
-		}
+		ring[(head+k)&mask] = b
+		head = (head + 1) & mask
 		if pos < base {
 			s.carry = append(s.carry, a)
 		}
-		qa = int(trans[qa*nc+int(classOf[a])])
+		qa = int(trans[qa*nc+int(classOf[a])]) // line 12
 		pos++
-		if eval.MaximalFinal(qa, sb) {
+		if eval.MaximalFinal(qa, sb) { // line 14: T[q][S]
 			s.qa, s.s, s.head, s.pos = qa, sb, head, pos
 			s.emitToken(emit, d.Rule(qa), chunk, base)
 			qa = s.qa // emitToken restarted A
@@ -907,51 +739,22 @@ func (s *Streamer) Close(emit EmitFunc) int {
 	d := s.m.DFA
 	// Stream length, for the drained tokens' emission latency: A's
 	// position plus whatever input is still delayed ahead of it.
-	streamEnd := s.pos
-	if s.k == 1 && s.fe == nil && s.prevOK {
-		streamEnd++
-	} else if s.k > 1 {
-		streamEnd += s.filled
-	}
-	switch {
-	case s.k <= 0:
-		// Nothing delayed.
-	case s.k == 1:
-		if s.fe != nil {
-			// The fused small engine runs A undelayed: the whole stream
-			// is already consumed and carried, so the only question is
-			// whether the pending suffix is itself a final token.
-			if s.pos > s.startP && d.IsFinal(s.qa) {
-				s.emitTail(emit, d.Rule(s.qa), streamEnd)
-			}
-		} else if s.prevOK {
-			a := s.prev
-			s.prevOK = false
-			s.carry = append(s.carry, a)
-			s.qa = d.Step(s.qa, a)
-			s.pos++
-			if d.IsFinal(s.qa) {
-				s.emitTail(emit, d.Rule(s.qa), streamEnd)
-			} else if s.m.IsDead(s.qa) {
-				s.stop()
-				return s.rest
-			}
+	streamEnd := s.pos + s.filled
+	if s.k <= 1 {
+		// The small engine runs A undelayed: the whole stream is already
+		// consumed and carried, so the only question is whether the
+		// pending suffix is itself a final token (never, for k = 0: a
+		// final state emits the moment A reaches it).
+		if s.pos > s.startP && d.IsFinal(s.qa) {
+			s.emitTail(emit, d.Rule(s.qa), streamEnd)
 		}
-	default:
+	} else {
 		// Drain the ring: for the last positions B has no K-byte
 		// lookahead, so maximality is checked directly against the
-		// remaining tail (< K bytes). The fused general ring is
-		// power-of-two sized, hence the mask-aware advance.
+		// remaining tail (< K bytes).
 		for s.filled > 0 {
 			a := s.ring[s.head]
-			if s.ringMask != 0 {
-				s.head = (s.head + 1) & s.ringMask
-			} else {
-				s.head++
-				if s.head == s.k {
-					s.head = 0
-				}
-			}
+			s.head = (s.head + 1) & s.ringMask
 			s.filled--
 			s.carry = append(s.carry, a)
 			s.qa = d.Step(s.qa, a)
@@ -988,11 +791,7 @@ func (s *Streamer) ringContents() []byte {
 	}
 	out := s.ringScratch[:0]
 	for i := 0; i < s.filled; i++ {
-		if s.ringMask != 0 {
-			out = append(out, s.ring[(s.head+i)&s.ringMask])
-		} else {
-			out = append(out, s.ring[(s.head+i)%s.k])
-		}
+		out = append(out, s.ring[(s.head+i)&s.ringMask])
 	}
 	s.ringScratch = out
 	return out

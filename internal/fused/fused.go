@@ -7,16 +7,19 @@
 //
 //  1. Action-table fusion. For K ≤ 1 the Fig. 5 sequence (A step,
 //     finality/maximality check, dead check, rule lookup, restart) is
-//     packed into one uint32 per (state, byte-class): the next state already
-//     accounts for the restart after an emission, and the action
+//     packed into one uint32 per (state, byte-class): the next state
+//     already accounts for the restart after an emission, and the action
 //     (continue / dead / emit rule β) sits in the top byte — one load and
-//     one predictable branch per input byte. For K ≥ 2 the tokenization
-//     DFA A and the token-extension DFA B keep their own transition
-//     tables (they step on different bytes: B on the current byte, A on
-//     the byte K positions back, so a literal single-table product would
-//     need the delay ring in its state space), but the maximality bitset
-//     probe + dead check + rule lookup collapse into one int32 action
-//     word indexed by the (q_A, s_B) pair.
+//     one predictable branch per input byte. Emissions the byte cannot
+//     name (rules past 252, and tokens that may be empty because a rule
+//     is nullable) carry a lookup action instead, and the loop reads the
+//     rule from the DFA's accept label. For K ≥ 2 the tokenization DFA A
+//     and the token-extension DFA B keep their own transition tables (they step
+//     on different bytes: B on the current byte, A on the byte K
+//     positions back, so a literal single-table product would need the
+//     delay ring in its state space), but the maximality bitset probe +
+//     dead check + rule lookup collapse into one int32 action word
+//     indexed by the (q_A, s_B) pair.
 //
 //  2. Accel states. At build time the engine finds states (pairs) whose
 //     action is "continue" and that self-loop on a byte class C — string
@@ -28,9 +31,12 @@
 //     use a 256-bit bitmap scan. Exact token offsets are preserved
 //     because the skipped region contributes no actions.
 //
-// The engine is built under a byte budget; callers fall back to the
-// split loops when Build returns nil (budget exceeded, lazy TeDFA, or a
-// rule count that does not fit the packed action byte).
+// Build is total for K ≤ 1: the packed table is n·C·4 bytes, linear in
+// the DFA, so it is never refused (admission by certified TableBytes is
+// the cap). For K ≥ 2 the pair tables are quadratic and built under a
+// byte budget; Build returns nil when they would exceed it or when there
+// is no eager TeDFA to pair with, and the caller serves from the lazily
+// determinized TeDFA instead.
 package fused
 
 import (
@@ -53,7 +59,8 @@ const (
 // Packed-word layout for ModeSmall: state in the low 23 bits, the accel
 // flag at bit 23, the action in the top byte.
 const (
-	// StateMask extracts the next state from a small-mode word.
+	// StateMask extracts the next state from a small-mode word. It is
+	// also the largest state id the small engine packs.
 	StateMask = 1<<23 - 1
 	// SmallAccelBit flags that the next state is an accel state (the
 	// action is necessarily SActContinue).
@@ -61,11 +68,17 @@ const (
 	// SmallActShift moves the action byte into place.
 	SmallActShift = 24
 
-	// SActContinue .. SActEmitBase are the small-mode actions: emit
-	// words carry rule+SActEmitBase.
+	// SActContinue .. SActLookup are the small-mode actions. Emit words
+	// carry rule+SActEmitBase and the restarted next state. SActLookup
+	// is an emit whose word state is the final state the token ended in:
+	// the loop reads the rule from its accept label, restarts A itself,
+	// and skips the token when it is empty (a nullable rule at Start).
+	// The two rare actions sit at the top of the byte, so the emit path
+	// tells them apart from a plain emit with one comparison.
 	SActContinue uint32 = 0
-	SActDead     uint32 = 1
-	SActEmitBase uint32 = 2
+	SActEmitBase uint32 = 1
+	SActDead     uint32 = 254
+	SActLookup   uint32 = 255
 )
 
 // General-mode action words: 0 continue, 1 dead, rule+GEmitBase emit;
@@ -81,11 +94,12 @@ const (
 
 // Options bounds the construction.
 type Options struct {
-	// MaxTableBytes caps the memory of every array the fused hot loop
-	// touches (default 16 MB): the packed/action tables and accel index
-	// built here, plus the class-compressed A and B transition tables the
-	// general loop indexes directly. A grammar that would exceed it keeps
-	// the split engine.
+	// MaxTableBytes caps the memory of every array the K ≥ 2 fused
+	// loop touches (default 16 MB): the pair action table and accel
+	// index built here, plus the class-compressed A and B transition
+	// tables it indexes directly. A grammar that would exceed it is
+	// served by the lazy TeDFA loop. The K ≤ 1 packed table is linear in
+	// the DFA and not subject to it.
 	MaxTableBytes int
 	// NoAccel builds the engine without accel states (ablation).
 	NoAccel bool
@@ -178,11 +192,11 @@ func (e *Engine) ModeName() string {
 }
 
 // Build compiles the fused engine for a machine with lookahead bound k.
-// te must be the eager token-extension table when k ≥ 2 (pass nil when
-// the tokenizer fell back to the lazy TeDFA; the fused engine needs the
-// full powerstate space to exist). Build returns nil when fusion is not
-// applicable or the tables would exceed the budget — the caller keeps
-// the split loops.
+// For k ≤ 1 it always succeeds (te is ignored; the DFA must have at most
+// StateMask+1 states). For k ≥ 2 te is the eager token-extension table;
+// Build returns nil when te is nil (the TeDFA was too large to build
+// eagerly) or the pair tables would exceed the budget — the caller then
+// serves from the lazy TeDFA.
 func Build(m *tokdfa.Machine, k int, te *tepath.Table, opts Options) *Engine {
 	opts = opts.withDefaults()
 	if k <= 1 {
@@ -200,23 +214,19 @@ func buildSmall(m *tokdfa.Machine, k int, opts Options) *Engine {
 	d := m.DFA
 	n := d.NumStates()
 	nc := d.NumClasses()
-	if n > StateMask || len(m.Grammar.Rules)+int(SActEmitBase) > 255 {
-		return nil
-	}
-	if k == 1 && d.IsFinal(d.Start) {
-		// A rule matching ε would make the packed (Start, b) word emit a
-		// zero-length token at every restart; such degenerate grammars
-		// keep the split loop, whose action check runs only after A has
-		// consumed at least one byte of the token.
-		return nil
-	}
-	// Budget: packed words + accel index + class map.
-	if n*nc*4+n*4+256 > opts.MaxTableBytes {
-		return nil
-	}
 	e := &Engine{Mode: ModeSmall, K: k, ClassOf: d.ClassOf, NumClasses: nc}
 	e.Words = make([]uint32, n*nc)
-	start := uint32(d.Start)
+	// emitWord emits the token that ended in final state fin, with next
+	// the state after the restart.
+	emitWord := func(fin, next int) uint32 {
+		if r := d.Rule(fin); r+int(SActEmitBase) < int(SActDead) && !(k == 1 && fin == d.Start) {
+			return uint32(next) | (SActEmitBase+uint32(r))<<SmallActShift
+		}
+		// A rule past the byte's range, or a K = 1 token ending at Start:
+		// that one may be the empty match of a nullable rule, which only
+		// the loop can tell from the stream offsets.
+		return uint32(fin) | SActLookup<<SmallActShift
+	}
 	for q := 0; q < n; q++ {
 		qFinal := d.IsFinal(q)
 		qDead := m.IsDead(q)
@@ -225,11 +235,11 @@ func buildSmall(m *tokdfa.Machine, k int, opts Options) *Engine {
 			var w uint32
 			switch {
 			case k <= 0:
-				// feedK0 semantics: emit the moment A reaches a final
-				// state (token includes this byte), restart at Start.
+				// No lookahead: emit the moment A reaches a final state
+				// (token includes this byte), restart at Start.
 				switch {
 				case d.IsFinal(nxt):
-					w = start | (SActEmitBase+uint32(d.Rule(nxt)))<<SmallActShift
+					w = emitWord(nxt, d.Start)
 				case m.IsDead(nxt):
 					w = uint32(nxt) | SActDead<<SmallActShift
 				default:
@@ -237,15 +247,14 @@ func buildSmall(m *tokdfa.Machine, k int, opts Options) *Engine {
 				}
 			case qDead:
 				// Fig. 5 with the delay unrolled: death is observed on
-				// the byte after the killing step, matching the split
-				// loop's Action(q, lookahead) timing.
+				// the byte after the killing step, the Action(q,
+				// lookahead) timing of the delayed formulation.
 				w = uint32(nxt) | SActDead<<SmallActShift
 			case qFinal && !d.IsFinal(nxt):
 				// Maximal token ends before this byte; the byte starts
 				// the next token, so the packed next state already took
 				// the restart transition.
-				w = uint32(d.StepClass(d.Start, c)) |
-					(SActEmitBase+uint32(d.Rule(q)))<<SmallActShift
+				w = emitWord(q, d.StepClass(d.Start, c))
 			default:
 				w = uint32(nxt)
 			}

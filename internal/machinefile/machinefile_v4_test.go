@@ -99,8 +99,11 @@ func TestV4SparseRoundTrip(t *testing.T) {
 
 	// Sparse machines are scanner-only: the streaming engines must
 	// refuse them rather than index the missing class table.
-	if _, err := core.NewSplitWithK(got.Machine, 1, tepath.Limits{}); err == nil {
-		t.Error("split engine accepted a sparse-only machine")
+	if _, err := core.NewWithK(got.Machine, 1, tepath.Limits{}); err == nil {
+		t.Error("fused engine accepted a sparse-only machine")
+	}
+	if _, err := core.NewLazyWithK(got.Machine, 2, tepath.Limits{}); err == nil {
+		t.Error("lazy engine accepted a sparse-only machine")
 	}
 }
 

@@ -137,8 +137,8 @@ type Registry struct {
 	residentBytes int64
 	pinnedBytes   int64
 
-	// fusedBudget caps each tokenizer's fused action tables (0 = the
-	// engine default); grammars over it serve from the split loops.
+	// fusedBudget caps each tokenizer's K ≥ 2 fused pair tables (0 = the
+	// engine default); K ≥ 2 grammars over it serve from the lazy loop.
 	fusedBudget int
 
 	stats RegistryStats
@@ -187,9 +187,9 @@ func (r *Registry) MemBudget() int64 {
 
 // SetFusedBudget caps the fused action tables of every tokenizer the
 // registry compiles or loads from now on (0 = the engine's 16 MB
-// default). A grammar whose fused tables would exceed the cap is still
-// served — from the split interpreter loops, with a smaller certified
-// footprint. Call before serving traffic: already-resident entries keep
+// default). A K ≥ 2 grammar whose fused pair tables would exceed the
+// cap is still served — from the lazy TeDFA loop, with a smaller
+// certified footprint; K ≤ 1 grammars always run fused. Call before serving traffic: already-resident entries keep
 // the engine they were built with.
 func (r *Registry) SetFusedBudget(bytes int) {
 	r.mu.Lock()

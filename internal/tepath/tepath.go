@@ -71,8 +71,8 @@ type Table struct {
 	// symbols B has consumed. T[q][S] = q final ∧ ¬extendable[S][q].
 	extendable [][]uint64
 	// emitOK[S] fuses the finality test into the table: bit q is set
-	// iff q is final and not extendable in S, so the hot loop needs one
-	// bitset probe per byte.
+	// iff q is final and not extendable in S (internal/fused builds its
+	// pair action words from it).
 	emitOK [][]uint64
 	words  int // words per bitset
 
@@ -118,12 +118,6 @@ func (t *Table) StepClass(s, c int) int { return int(t.trans[s*t.nc+c]) }
 // powerstate S. The caller must ensure q is final.
 func (t *Table) Maximal(q, s int) bool {
 	return t.extendable[s][q>>6]&(1<<(q&63)) == 0
-}
-
-// MaximalFinal is Maximal with the finality test fused in: it reports
-// T[q][S] for arbitrary q, false when q is not final.
-func (t *Table) MaximalFinal(q, s int) bool {
-	return t.emitOK[s][q>>6]&(1<<(q&63)) != 0
 }
 
 // ExtendsWithinTail reports whether the token ending at final state q can

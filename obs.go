@@ -291,10 +291,11 @@ func (t *Tokenizer) PublishStats(name string) {
 // acceleration, the memory footprint of the precomputed tables, and
 // whether the token-extension DFA is determinized lazily.
 type EngineInfo struct {
-	// Mode is "fused-k0", "fused-k1", or "fused-general" when the fused
-	// action-table engine is active; "split-k0", "split-k1",
-	// "split-general", or "split-general-lazy" for the interpreter
-	// loops. All modes emit byte-identical token streams.
+	// Mode is "fused-k0", "fused-k1", or "fused-general" for the fused
+	// action-table engine, or "split-general-lazy" for the interpreted
+	// lazy TeDFA loop (K ≥ 2 grammars whose TeDFA or fused pair tables
+	// exceed their budgets). All modes emit byte-identical token
+	// streams.
 	Mode string
 	// K is the lookahead bound (the grammar's max-TND).
 	K int
@@ -306,7 +307,8 @@ type EngineInfo struct {
 	// input buffer and the K-byte delay ring.
 	TableBytes int
 	// LazyTeDFA reports whether the token-extension DFA is determinized
-	// on demand (the eager table blew past Options.MaxTeDFAStates).
+	// on demand (the eager table blew past Options.MaxTeDFAStates, or its
+	// fused pair tables past Options.MaxFusedTableBytes).
 	LazyTeDFA bool
 }
 

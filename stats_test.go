@@ -29,12 +29,13 @@ func statsInput(t *testing.T, name string, n int) []byte {
 }
 
 // TestStatsReconciliation feeds every bounded catalog grammar a matching
-// workload under both engines and several chunkings, and checks that the
-// observability snapshot reconciles exactly with the emitted token
-// stream: byte counts, token counts (total and per rule), the latency
-// histogram mass, and the paper's bounds on the high-water marks
-// (RingMax ≤ K ≤ the Lemma 11 dichotomy bound, CarryMax ≤ longest
-// token + K).
+// workload under the default engine — and, for K ≥ 2 grammars, under
+// the lazy TeDFA loop a 1-byte fused budget forces — and several
+// chunkings, and checks that the observability snapshot reconciles
+// exactly with the emitted token stream: byte counts, token counts
+// (total and per rule), the latency histogram mass, and the paper's
+// bounds on the high-water marks (RingMax ≤ K ≤ the Lemma 11 dichotomy
+// bound, CarryMax ≤ longest token + K).
 func TestStatsReconciliation(t *testing.T) {
 	chunkings := []int{1, 7, 4096, 0} // 0 = whole input in one Feed
 	for _, name := range streamtok.Catalog() {
@@ -50,13 +51,17 @@ func TestStatsReconciliation(t *testing.T) {
 			continue // StreamTok does not apply; nothing to reconcile
 		}
 		input := statsInput(t, name, 32<<10)
-		for _, disableFused := range []bool{false, true} {
+		budgets := []int{0}
+		if an.MaxTND >= 2 {
+			budgets = append(budgets, 1)
+		}
+		for _, budget := range budgets {
 			tok, err := streamtok.NewWithOptions(g, streamtok.Options{
-				Minimize:     true,
-				DisableFused: disableFused,
+				Minimize:           true,
+				MaxFusedTableBytes: budget,
 			})
 			if err != nil {
-				t.Fatalf("NewWithOptions(%q, fused=%v): %v", name, !disableFused, err)
+				t.Fatalf("NewWithOptions(%q, fused budget %d): %v", name, budget, err)
 			}
 			for _, chunk := range chunkings {
 				t.Run(fmt.Sprintf("%s/%s/chunk=%d", name, tok.Engine().Mode, chunk), func(t *testing.T) {

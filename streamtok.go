@@ -231,16 +231,15 @@ type Options struct {
 	Minimize bool
 	// MaxTeDFAStates caps the token-extension DFA size (0 = default).
 	MaxTeDFAStates int
-	// DisableFused keeps the split interpreter loops instead of the fused
-	// action-table engine (for ablation; the engines emit byte-identical
-	// token streams).
-	DisableFused bool
-	// MaxFusedTableBytes caps the resident bytes of the fused action
-	// tables (0 = the 16 MB default). Grammars whose fused tables exceed
-	// the cap serve from the split loops instead — same token stream,
-	// smaller footprint. Tables are byte-class compressed, so the cap is
-	// checked against C-column tables (C = byte-class count), letting far
-	// larger grammars stay fused than the dense layout would.
+	// MaxFusedTableBytes caps the resident bytes of the K ≥ 2 fused pair
+	// tables (0 = the 16 MB default). K ≥ 2 grammars whose tables exceed
+	// the cap serve from the lazy TeDFA loop ("split-general-lazy")
+	// instead — same token stream, smaller footprint. K ≤ 1 grammars
+	// always run fused: their packed table is linear in the DFA, and
+	// admission by certified TableBytes is their cap. Tables are
+	// byte-class compressed, so the cap is checked against C-column
+	// tables (C = byte-class count), letting far larger grammars stay
+	// fused than the dense layout would.
 	MaxFusedTableBytes int
 }
 
@@ -292,12 +291,7 @@ func newWithOptions(g *Grammar, opts Options) (*Tokenizer, error) {
 		return nil, fmt.Errorf("%w (grammar %s)", ErrUnbounded, g.g.String())
 	}
 	limits := tepath.Limits{MaxDFAStates: opts.MaxTeDFAStates}
-	var inner *core.Tokenizer
-	if opts.DisableFused {
-		inner, err = core.NewSplitWithK(m, res.MaxTND, limits)
-	} else {
-		inner, err = core.NewWithKBudget(m, res.MaxTND, limits, opts.MaxFusedTableBytes)
-	}
+	inner, err := core.NewWithKBudget(m, res.MaxTND, limits, opts.MaxFusedTableBytes)
 	if err != nil {
 		return nil, err
 	}
