@@ -12,15 +12,17 @@
 //	streamtokd -vocab-dir ./vocabs                # pin every vocabulary in a directory
 //	streamtokd -max-concurrent 32 -deadline 10s   # tune admission control
 //	streamtokd -mem-budget 4M                     # cap certified resident table bytes
+//	streamtokd -debug-addr 127.0.0.1:6060         # serve net/http/pprof on its own listener
 //
 //	curl -s --data-binary @doc.json 'localhost:8321/tokenize?grammar=json'
 //	curl -sN -T - 'localhost:8321/tokenize?rule=%5B0-9%5D%2B&rule=%5B+%5D%2B' < nums.txt
 //
 // Endpoints: /tokenize (POST), /metrics (JSON), /statusz (text),
-// /healthz, /debug/vars (expvar). On SIGTERM or SIGINT the daemon stops
-// accepting new streams, lets in-flight ones finish (up to
-// -drain-timeout), writes a final metrics snapshot to stderr, and exits
-// 0 on a clean drain.
+// /healthz, /debug/vars (expvar). With -debug-addr, /debug/pprof/ is
+// served on that address alone, never on -addr. On SIGTERM or SIGINT
+// the daemon stops accepting new streams, lets in-flight ones finish
+// (up to -drain-timeout), writes a final metrics snapshot to stderr,
+// and exits 0 on a clean drain.
 package main
 
 import (
@@ -30,7 +32,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strconv"
@@ -56,6 +60,7 @@ func main() {
 	memBudget := flag.String("mem-budget", "", "cap on certified resident table bytes across grammars, e.g. 4M or 256K (empty = unlimited)")
 	fusedBudget := flag.String("fused-budget", "", "per-grammar cap on the K>=2 fused pair tables, e.g. 4M (empty = 16M default; over-budget K>=2 grammars serve from the lazy TeDFA loop, K<=1 grammars always stay fused)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight streams on shutdown")
+	debugAddr := flag.String("debug-addr", "", "listen address for net/http/pprof, e.g. 127.0.0.1:6060 (empty = off; never served on -addr)")
 	flag.Parse()
 	logger := log.New(os.Stderr, "streamtokd: ", log.LstdFlags)
 
@@ -123,6 +128,14 @@ func main() {
 		logger.Printf("listening on %s", *addr)
 		errc <- hs.ListenAndServe()
 	}()
+	if *debugAddr != "" {
+		ds, err := serveDebug(*debugAddr)
+		if err != nil {
+			logger.Fatalf("-debug-addr: %v", err)
+		}
+		defer ds.Close()
+		logger.Printf("pprof listening on %s", *debugAddr)
+	}
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
@@ -158,6 +171,26 @@ func main() {
 		os.Exit(1)
 	}
 	logger.Printf("drained clean: %d streams served, %d tokens out", final.OK, final.TokensOut)
+}
+
+// serveDebug serves the net/http/pprof handlers on their own listener.
+// They go on a mux of their own: the public mux routes only
+// /debug/vars to http.DefaultServeMux, so the handlers net/http/pprof
+// registers there on import are not reachable through -addr.
+func serveDebug(addr string) (*http.Server, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	ds := &http.Server{Handler: mux}
+	go ds.Serve(ln) // returns when main closes ds
+	return ds, nil
 }
 
 // parseBytes reads a byte count with an optional K/M/G suffix (powers

@@ -192,6 +192,49 @@ func TestDaemonMemBudget(t *testing.T) {
 	}
 }
 
+// TestDaemonDebugAddr drives -debug-addr end to end: /debug/pprof/
+// answers on the debug listener and is a 404 on the public one.
+func TestDaemonDebugAddr(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bin := buildTool(t, "streamtokd")
+	addr, debugAddr := freeAddr(t), freeAddr(t)
+	cmd := exec.Command(bin, "-addr", addr, "-debug-addr", debugAddr)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		cmd.Process.Signal(syscall.SIGTERM)
+		cmd.Wait()
+	}()
+	status := func(url string) int {
+		resp, err := http.Get(url)
+		if err != nil {
+			return 0
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	waitE2E(t, func() bool {
+		return status("http://"+addr+"/healthz") == http.StatusOK && status("http://"+debugAddr+"/debug/pprof/") != 0
+	})
+	if got := status("http://" + debugAddr + "/debug/pprof/"); got != http.StatusOK {
+		t.Errorf("debug listener /debug/pprof/ = %d, want 200\n%s", got, stderr.String())
+	}
+	if got := status("http://" + debugAddr + "/debug/pprof/goroutine?debug=1"); got != http.StatusOK {
+		t.Errorf("debug listener goroutine profile = %d, want 200", got)
+	}
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/goroutine?debug=1"} {
+		if got := status("http://" + addr + path); got != http.StatusNotFound {
+			t.Errorf("public listener %s = %d, want 404", path, got)
+		}
+	}
+}
+
 // assertLiveMetrics checks /metrics mid-stream: one stream in flight on
 // the json grammar.
 func assertLiveMetrics(t *testing.T, base string) {

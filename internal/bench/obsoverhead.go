@@ -15,40 +15,57 @@ import (
 // ObsOverhead measures what the always-on observability counters cost
 // (ISSUE 3): for each hotloop workload it times the normal engine
 // against a benchmark-only build with the counter updates compiled out
-// (core.NewNoObsWithK) and reports the throughput delta. The counters
-// update per chunk, per token, and per accel event — never per byte —
-// so the overhead target is under 3% everywhere.
+// (core.NewNoObsWithK) and reports the throughput delta, on both
+// emission paths: Feed with a text callback, and FeedBatch in 64 KiB
+// chunks — the path the daemon serves from, where the per-token
+// counter update sits inline in the engine loops. The counters update
+// per chunk, per token, and per accel event — never per byte — so the
+// overhead target is under 3% everywhere.
 func ObsOverhead(cfg Config) Table {
 	t := Table{
 		Title:  "ObsOverhead: always-on counters vs no-obs build (MB/s)",
-		Note:   "no-obs is a benchmark-only variant; overhead = 1 - obs/no-obs",
-		Header: []string{"workload", "grammar", "mode", "no-obs", "obs", "overhead"},
+		Note:   "no-obs is a benchmark-only variant; overhead = 1 - obs/no-obs; path feed = Feed with a text callback, batch = FeedBatch in 64 KiB chunks",
+		Header: []string{"workload", "grammar", "mode", "path", "no-obs", "obs", "overhead"},
 	}
 	emit := func(token.Token, []byte) {}
-	run := func(tok *core.Tokenizer, input []byte) time.Duration {
+	sink := func([]token.Token) {}
+	paths := []struct {
+		name string
+		run  func(s *core.Streamer, input []byte)
+	}{
+		{"feed", func(s *core.Streamer, input []byte) {
+			s.Feed(input, emit)
+			s.Close(emit)
+		}},
+		{"batch", func(s *core.Streamer, input []byte) {
+			for off := 0; off < len(input); off += 64 << 10 {
+				s.FeedBatch(input[off:min(off+64<<10, len(input))], sink)
+			}
+			s.CloseBatch(sink)
+		}},
+	}
+	run := func(tok *core.Tokenizer, input []byte, path func(*core.Streamer, []byte)) time.Duration {
 		start := time.Now()
-		s := tok.NewStreamer()
-		s.Feed(input, emit)
-		s.Close(emit)
+		path(tok.NewStreamer(), input)
 		return time.Since(start)
 	}
 	// Interleave the variants trial-by-trial and keep each one's minimum:
 	// alternating runs see the same machine drift, and the minimum
 	// approximates the noise-free time better than the median on shared
 	// hardware.
-	measurePair := func(a, b *core.Tokenizer, input []byte) (float64, float64) {
-		run(a, input) // warm the tables and the page cache
-		run(b, input)
+	measurePair := func(a, b *core.Tokenizer, input []byte, path func(*core.Streamer, []byte)) (float64, float64) {
+		run(a, input, path) // warm the tables and the page cache
+		run(b, input, path)
 		trials := cfg.Trials
 		if trials < 1 {
 			trials = 1
 		}
 		minA, minB := time.Duration(1<<62), time.Duration(1<<62)
 		for i := 0; i < trials; i++ {
-			if d := run(a, input); d < minA {
+			if d := run(a, input, path); d < minA {
 				minA = d
 			}
-			if d := run(b, input); d < minB {
+			if d := run(b, input, path); d < minB {
 				minB = d
 			}
 		}
@@ -94,18 +111,20 @@ func ObsOverhead(cfg Config) Table {
 		if err != nil {
 			panic(err)
 		}
-		no, ob := measurePair(noObs, obsTok, c.input)
-		overhead := 1 - ob/no
-		sumOverhead += overhead
-		t.Rows = append(t.Rows, []string{
-			c.name, c.grammar, obsTok.EngineMode(),
-			fmt.Sprintf("%.1f", no), fmt.Sprintf("%.1f", ob),
-			fmt.Sprintf("%+.1f%%", overhead*100),
-		})
+		for _, p := range paths {
+			no, ob := measurePair(noObs, obsTok, c.input, p.run)
+			overhead := 1 - ob/no
+			sumOverhead += overhead
+			t.Rows = append(t.Rows, []string{
+				c.name, c.grammar, obsTok.EngineMode(), p.name,
+				fmt.Sprintf("%.1f", no), fmt.Sprintf("%.1f", ob),
+				fmt.Sprintf("%+.1f%%", overhead*100),
+			})
+		}
 	}
 	t.Rows = append(t.Rows, []string{
-		"mean", "-", "-", "-", "-",
-		fmt.Sprintf("%+.1f%%", sumOverhead/float64(len(cases))*100),
+		"mean", "-", "-", "-", "-", "-",
+		fmt.Sprintf("%+.1f%%", sumOverhead/float64(len(cases)*len(paths))*100),
 	})
 	return t
 }

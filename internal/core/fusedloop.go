@@ -34,6 +34,7 @@ func (s *Streamer) feedFusedSmall(chunk []byte, emit EmitFunc) {
 	// Accel tallies stay in locals for the chunk and fold into the
 	// counters at the exits (before stop(), which retires the block).
 	attempts, skipped := 0, 0
+	direct := s.batchSink != nil // see batchToken
 	for i := 0; i < n; i++ {
 		w := words[q*nc+int(classOf[chunk[i]])]
 		q = int(w & fused.StateMask)
@@ -77,6 +78,12 @@ func (s *Streamer) feedFusedSmall(chunk []byte, emit EmitFunc) {
 					continue // the empty token of a nullable rule
 				}
 			}
+		}
+		if direct && s.startP >= base {
+			if s.batchToken(pos, rule) {
+				s.flushBatch()
+			}
+			continue
 		}
 		s.pos = pos
 		s.emitToken(emit, rule, chunk, base)
@@ -122,6 +129,7 @@ func (s *Streamer) feedFusedGeneral(chunk []byte, emit EmitFunc) {
 	base := pos + s.filled // stream offset of chunk[0]
 	n := len(chunk)
 	i := 0
+	direct := s.batchSink != nil // see batchToken
 	// Fill phase: only B steps until the ring holds k bytes (happens
 	// once per stream).
 	for ; i < n && s.filled < k; i++ {
@@ -192,9 +200,15 @@ func (s *Streamer) feedFusedGeneral(chunk []byte, emit EmitFunc) {
 					s.stopAt(chunk, i, qa, sb, aBase+i)
 					return
 				}
-				s.pos = aBase + i
-				s.emitToken(emit, int(w-fused.GEmitBase), chunk, base)
-				qa = s.m.DFA.Start // emitToken restarted A
+				if direct && s.startP >= base {
+					if s.batchToken(aBase+i, int(w-fused.GEmitBase)) {
+						s.flushBatch()
+					}
+				} else {
+					s.pos = aBase + i
+					s.emitToken(emit, int(w-fused.GEmitBase), chunk, base)
+				}
+				qa = s.m.DFA.Start
 			}
 			continue
 		}
@@ -269,9 +283,15 @@ func (s *Streamer) feedFusedGeneral(chunk []byte, emit EmitFunc) {
 				s.stopAt(chunk, i, qa, sb, aBase+i)
 				return
 			}
-			s.pos = aBase + i
-			s.emitToken(emit, int(w-fused.GEmitBase), chunk, base)
-			qa = s.m.DFA.Start // emitToken restarted A
+			if direct && s.startP >= base {
+				if s.batchToken(aBase+i, int(w-fused.GEmitBase)) {
+					s.flushBatch()
+				}
+			} else {
+				s.pos = aBase + i
+				s.emitToken(emit, int(w-fused.GEmitBase), chunk, base)
+			}
+			qa = s.m.DFA.Start
 		}
 	}
 	s.qa, s.s, s.pos = qa, sb, aBase+n-1

@@ -1,11 +1,13 @@
 package core_test
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
 	"streamtok/internal/analysis"
 	"streamtok/internal/core"
+	"streamtok/internal/obs"
 	"streamtok/internal/reference"
 	"streamtok/internal/tepath"
 	"streamtok/internal/testutil"
@@ -115,7 +117,11 @@ func fuzzFusedSetup() {
 // FuzzFusedDifferential cross-checks the default engine against the
 // reference oracle, and for K ≥ 2 the lazy TeDFA loop against it too,
 // under fuzzer-chosen alternating chunk boundaries (including 1-byte
-// feeds), comparing tokens, emitted text bytes, and Rest.
+// feeds), comparing tokens, emitted text bytes, and Rest. Each engine
+// also runs FeedBatch/CloseBatch on the same chunking, which must give
+// the oracle's tokens and Rest and, before Close, the same
+// StreamCounters as the Feed run (the batched loops count tokens
+// inline, and chunk-spanning tokens still record their carry peak).
 func FuzzFusedDifferential(f *testing.F) {
 	f.Add(0, uint8(1), uint8(1), []byte("123 456"))
 	f.Add(3, uint8(1), uint8(5), []byte(`a,"b""c",d`))
@@ -133,14 +139,20 @@ func FuzzFusedDifferential(f *testing.F) {
 			pick = -pick
 		}
 		pick %= len(fuzzFusedToks)
-		run := func(tok *core.Tokenizer) ([]token.Token, [][]byte, int) {
-			var toks []token.Token
-			var texts [][]byte
+		type result struct {
+			toks        []token.Token
+			texts       [][]byte
+			rest        int
+			beforeClose obs.Counters // StreamCounters before Close
+		}
+		run := func(tok *core.Tokenizer, batched bool) result {
+			var r result
 			s := tok.NewStreamer()
 			collect := func(tk token.Token, text []byte) {
-				toks = append(toks, tk)
-				texts = append(texts, append([]byte(nil), text...))
+				r.toks = append(r.toks, tk)
+				r.texts = append(r.texts, append([]byte(nil), text...))
 			}
+			sink := func(batch []token.Token) { r.toks = append(r.toks, batch...) }
 			steps := [2]int{int(c1), int(c2)}
 			for i, which := 0, 0; i < len(input); which ^= 1 {
 				step := steps[which]
@@ -151,26 +163,44 @@ func FuzzFusedDifferential(f *testing.F) {
 				if end > len(input) {
 					end = len(input)
 				}
-				s.Feed(input[i:end], collect)
+				if batched {
+					s.FeedBatch(input[i:end], sink)
+				} else {
+					s.Feed(input[i:end], collect)
+				}
 				i = end
 			}
-			rest := s.Close(collect)
-			return toks, texts, rest
+			r.beforeClose = s.StreamCounters()
+			if batched {
+				r.rest = s.CloseBatch(sink)
+			} else {
+				r.rest = s.Close(collect)
+			}
+			return r
 		}
 		want, wantRest := reference.Tokens(fuzzFusedMachs[pick], input)
 		for _, tok := range []*core.Tokenizer{fuzzFusedToks[pick], fuzzLazyToks[pick]} {
 			if tok == nil {
 				continue
 			}
-			got, texts, rest := run(tok)
-			if !reference.Equal(got, want) || rest != wantRest {
-				t.Fatalf("%s diverged from oracle on %q (grammar %d): got %v rest %d, want %v rest %d",
-					tok.EngineMode(), input, pick, got, rest, want, wantRest)
-			}
-			for i := range texts {
-				if string(texts[i]) != string(input[got[i].Start:got[i].End]) {
-					t.Fatalf("%s: token %d text %q != input[%d:%d]", tok.EngineMode(), i, texts[i], got[i].Start, got[i].End)
+			fed, batched := run(tok, false), run(tok, true)
+			for _, r := range []struct {
+				path string
+				result
+			}{{"Feed", fed}, {"FeedBatch", batched}} {
+				if !reference.Equal(r.toks, want) || r.rest != wantRest {
+					t.Fatalf("%s %s diverged from oracle on %q (grammar %d): got %v rest %d, want %v rest %d",
+						tok.EngineMode(), r.path, input, pick, r.toks, r.rest, want, wantRest)
 				}
+			}
+			for i := range fed.texts {
+				if string(fed.texts[i]) != string(input[fed.toks[i].Start:fed.toks[i].End]) {
+					t.Fatalf("%s: token %d text %q != input[%d:%d]", tok.EngineMode(), i, fed.texts[i], fed.toks[i].Start, fed.toks[i].End)
+				}
+			}
+			if !reflect.DeepEqual(batched.beforeClose, fed.beforeClose) {
+				t.Fatalf("%s on %q (grammar %d): FeedBatch counters before Close %+v, Feed %+v",
+					tok.EngineMode(), input, pick, batched.beforeClose, fed.beforeClose)
 			}
 		}
 	})

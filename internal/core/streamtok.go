@@ -700,6 +700,7 @@ func (s *Streamer) feedGeneralLazy(chunk []byte, emit EmitFunc) {
 	mask := s.ringMask
 	base := s.pos + s.filled // stream offset of chunk[0]
 	qa, sb, head, pos := s.qa, s.s, s.head, s.pos
+	direct := s.batchSink != nil // see batchToken
 	for _, b := range chunk {
 		sb = eval.Step(sb, b) // line 11: B is K symbols ahead of A
 		if s.filled < k {
@@ -716,9 +717,15 @@ func (s *Streamer) feedGeneralLazy(chunk []byte, emit EmitFunc) {
 		qa = int(trans[qa*nc+int(classOf[a])]) // line 12
 		pos++
 		if eval.MaximalFinal(qa, sb) { // line 14: T[q][S]
-			s.qa, s.s, s.head, s.pos = qa, sb, head, pos
-			s.emitToken(emit, d.Rule(qa), chunk, base)
-			qa = s.qa // emitToken restarted A
+			if direct && s.startP >= base {
+				if s.batchToken(pos, d.Rule(qa)) {
+					s.flushBatch()
+				}
+			} else {
+				s.pos = pos
+				s.emitToken(emit, d.Rule(qa), chunk, base)
+			}
+			qa = d.Start
 		} else if s.m.IsDead(qa) {
 			s.qa, s.s, s.head, s.pos = qa, sb, head, pos
 			s.stop()
@@ -849,6 +856,22 @@ func (s *Streamer) emitToken(emit EmitFunc, rule int, chunk []byte, base int) {
 	s.startP = s.pos
 	s.resetCarry()
 	s.qa = s.m.DFA.Start
+}
+
+// batchToken is emitToken's FeedBatch path for a token that lies inside
+// the chunk (s.startP >= base), which the loops take inline: the carry is
+// empty then, so there is no text to assemble, carry peak to record or
+// carry to reset. It appends the token to the batch buffer, counts it,
+// and reports whether the buffer is full (the caller then flushes). It
+// leaves s.pos and A's state to the loop, which writes them back at its
+// exits.
+func (s *Streamer) batchToken(end, rule int) (full bool) {
+	s.batch = append(s.batch, token.Token{Start: s.startP, End: end, Rule: rule})
+	if !s.noObs {
+		s.c.TokensByRule[rule]++
+	}
+	s.startP = end
+	return len(s.batch) >= batchCap
 }
 
 // emitTail emits a token during Close; its bytes are fully in carry.

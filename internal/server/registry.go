@@ -47,7 +47,7 @@ type Entry struct {
 	// the hot path never re-formats the rule id or re-escapes the name.
 	// Nil for vocabulary entries: Token.Rule is the rank, which has no
 	// name.
-	ruleTails [][]byte
+	ruleTails []ruleTail
 }
 
 // RejectError is a grammar the registry refuses to serve. Diagnostic is

@@ -446,7 +446,7 @@ func (s *Server) streamBinary(ctx context.Context, w http.ResponseWriter, r *htt
 // returns it once the response is written.
 func (s *Server) getWire(w io.Writer) *wire {
 	o := s.wires.Get().(*wire)
-	o.w, o.err = w, nil
+	o.w, o.err, o.grow = w, nil, 0
 	return o
 }
 

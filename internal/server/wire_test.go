@@ -422,3 +422,145 @@ func FuzzNDJSONEncode(f *testing.F) {
 		}
 	})
 }
+
+// wireEvent is one step of a response as TestWireWriteSchedule sees
+// it: a body chunk read (read > 0), a Write of n bytes from a buffer
+// of capacity c, or a Flush.
+type wireEvent struct {
+	read, n, c int
+	flush      bool
+}
+
+// scheduleRecorder is a ResponseWriter and request body that log, in
+// order, every chunk read, Write and Flush of one request. drive runs
+// the encoders on the stream's shard worker through h.Do, which
+// orders those Writes with the handler goroutine's reads and flushes.
+type scheduleRecorder struct {
+	chunkReader
+	h      http.Header
+	code   int
+	events []wireEvent
+}
+
+func (r *scheduleRecorder) Read(p []byte) (int, error) {
+	n, err := r.chunkReader.Read(p)
+	if n > 0 {
+		r.events = append(r.events, wireEvent{read: n})
+	}
+	return n, err
+}
+
+func (r *scheduleRecorder) Header() http.Header  { return r.h }
+func (r *scheduleRecorder) WriteHeader(code int) { r.code = code }
+func (r *scheduleRecorder) Flush()               { r.events = append(r.events, wireEvent{flush: true}) }
+func (r *scheduleRecorder) Write(p []byte) (int, error) {
+	r.events = append(r.events, wireEvent{n: len(p), c: cap(p)})
+	return len(p), nil
+}
+
+// TestWireWriteSchedule pins the response write-out schedule on a
+// 1 MiB log body in 64 KiB chunks, in NDJSON and binary: the first
+// Write is at most wireFirstWrite plus one line, each Write inside a
+// chunk is at the threshold, which doubles per write-out up to
+// wireMaxWrite; every chunk boundary flushes; and the pooled buffer is
+// never regrown.
+func TestWireWriteSchedule(t *testing.T) {
+	if wireCap > wireMaxPooled {
+		t.Fatalf("wireCap %d exceeds wireMaxPooled %d: the pool would drop every buffer", wireCap, wireMaxPooled)
+	}
+	body, err := workload.Log("linux", 5, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{})
+	defer s.Close()
+	h := s.Handler()
+	for _, f := range []struct {
+		query string
+		line  int // longest item the encoder appends past the threshold
+	}{{"", lineReserve}, {"&format=bin", recordSize}} {
+		rec := &scheduleRecorder{chunkReader: chunkReader{data: body, n: 64 << 10}, h: http.Header{}, code: http.StatusOK}
+		req := httptest.NewRequest(http.MethodPost, "/tokenize?grammar=log"+f.query, rec)
+		h.ServeHTTP(rec, req)
+		if rec.code != http.StatusOK {
+			t.Fatalf("%q: status %d", f.query, rec.code)
+		}
+		writes, reads, flushed, reachedMax := 0, 0, true, false
+		for i, ev := range rec.events {
+			switch {
+			case ev.read > 0:
+				if !flushed {
+					t.Fatalf("%q: chunk %d read before chunk %d was flushed", f.query, reads+1, reads)
+				}
+				reads++
+				flushed = false
+			case ev.flush:
+				flushed = true
+			default:
+				if ev.c > wireCap {
+					t.Fatalf("%q: write %d from a buffer regrown to %d B (pooled capacity %d)", f.query, writes, ev.c, wireCap)
+				}
+				threshold := wireFirstWrite << min(writes, wireMaxGrow)
+				atBoundary := i+1 == len(rec.events) || rec.events[i+1].flush
+				if ev.n >= threshold+f.line || (!atBoundary && ev.n < threshold) {
+					t.Fatalf("%q: write %d is %d B, want [%d, %d) (or less at a chunk boundary or the end)", f.query, writes, ev.n, threshold, threshold+f.line)
+				}
+				reachedMax = reachedMax || ev.n >= wireMaxWrite
+				writes++
+			}
+		}
+		if want := (len(body) + 64<<10 - 1) / (64 << 10); reads != want || !flushed {
+			t.Fatalf("%q: %d chunks read, last flushed %v; want %d, all flushed", f.query, reads, flushed, want)
+		}
+		if !reachedMax {
+			t.Fatalf("%q: no write reached wireMaxWrite (%d B)", f.query, wireMaxWrite)
+		}
+	}
+
+	// A zero-value wire starts the schedule at wireFirstWrite.
+	var sink bytes.Buffer
+	o := &wire{w: &sink}
+	if b := o.spill(make([]byte, wireFirstWrite-1)); len(b) != wireFirstWrite-1 || sink.Len() != 0 {
+		t.Fatalf("zero-value wire wrote %d B below wireFirstWrite", sink.Len())
+	}
+	if o.spill(make([]byte, wireFirstWrite)); sink.Len() != wireFirstWrite {
+		t.Fatalf("zero-value wire wrote %d B at wireFirstWrite, want %d", sink.Len(), wireFirstWrite)
+	}
+}
+
+// TestNDJSONBlockFallbacks covers the rules FuzzNDJSONEncode's name
+// table cannot reach: a name whose tail does not fit a tail block, and
+// one that fills it exactly, mixed with block lines, gapped starts and
+// rules outside the table, against the strconv reference.
+func TestNDJSONBlockFallbacks(t *testing.T) {
+	exact := strings.Repeat("x", tailBlock-len(`,"rule":1,"name":""}`+"\n"))
+	names := []string{"A", exact, strings.Repeat("long", 20)}
+	tails := ruleTails(len(names), func(i int) string { return names[i] })
+	if !tails[1].fits() || tails[2].fits() {
+		t.Fatalf("tail lengths %d and %d around the %d B block", len(tails[1].line), len(tails[2].line), tailBlock)
+	}
+	quoted := make([][]byte, len(names))
+	for i, n := range names {
+		quoted[i] = appendJSONString(nil, n)
+	}
+	var sink bytes.Buffer
+	o := &wire{w: &sink}
+	enc := newNDJSONEncoder(tails)
+	var want []byte
+	var batch []token.Token
+	pos := 999_990
+	for i := 0; i < 60; i++ {
+		if i%7 == 3 {
+			pos += i // a gapped start
+		}
+		tk := token.Token{Start: pos, End: pos + 1 + i%5, Rule: i%5 - 1} // rules -1…3
+		pos = tk.End
+		batch = append(batch, tk)
+		want = refTokenLine(want, tk, nil, quoted, false)
+	}
+	enc.batch(o, batch)
+	o.writeOut()
+	if !bytes.Equal(sink.Bytes(), want) {
+		t.Fatalf("encoder output differs from reference\n got  %q\n want %q", sink.Bytes(), want)
+	}
+}
